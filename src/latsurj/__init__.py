@@ -23,9 +23,7 @@ from .exact_linalg import (
 from .modp import (
     ColumnSpace,
     ModMatrix,
-    extend_column_space,
     has_sparse_annihilator,
-    in_column_space,
     rank_mod_p,
     reduce_mod,
 )

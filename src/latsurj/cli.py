@@ -47,6 +47,7 @@ from .fq import (
     spectrum_subgroup_check,
 )
 from .predictions import corank_prediction, trivial_cokernel_all_primes, trivial_cokernel_prediction
+from .primes import FactorizationError
 
 ENV_PREFIX = "LATSURJ_"
 
@@ -328,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--B", type=float, default=1.0)
     p_exp.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1,
-        help="trial worker pool size (output is identical for any value)",
+        help="worker threads; rank experiments (GF(2) bit-packed) hand them chunks of up to "
+        "256 trials, the others single trials (output is identical for any value)",
     )
     p_exp.add_argument("--mode", default="default")
     p_exp.add_argument("--primes", help="restrict to this prime set (trivial)")
@@ -368,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_overrides(args, argv)
         _log_config(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, RuntimeError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

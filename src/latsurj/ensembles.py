@@ -147,7 +147,7 @@ def symmetrize(dist: Distribution) -> Distribution:
 
     The balance identities alpha <= alpha' <= 2*alpha (with alpha read off
     the single largest weight and 1 - alpha' the mass at zero) hold exactly
-    and are asserted.
+    and are checked; a violation raises RuntimeError.
     """
     conv: Dict[int, Fraction] = {}
     for v1, w1 in dist.atoms:
@@ -157,7 +157,8 @@ def symmetrize(dist: Distribution) -> Distribution:
     out = Distribution(tuple(conv.items()))
     alpha = 1 - dist.max_weight
     alpha_sym = 1 - out.weight_of(0)
-    assert alpha <= alpha_sym <= 2 * alpha
+    if not alpha <= alpha_sym <= 2 * alpha:
+        raise RuntimeError(f"balance identity fails: alpha={alpha}, alpha'={alpha_sym}")
     return out
 
 

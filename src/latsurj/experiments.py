@@ -3,6 +3,9 @@
 Trials are independent tasks whose RNG substreams derive from
 (master seed, trial index), and per-trial results aggregate through a
 commutative counter, so reports are identical for any worker count.  The
+rank experiments (corank, p-restricted trivial cokernel, mod-p
+singularity) hand workers chunks of trials and eliminate each chunk as
+one batch, bit-packed for p = 2; the others hand out single trials.  The
 canonical report serialization deliberately excludes wall-clock time and
 worker metadata; those live in a side "meta" block of the written file.
 """
@@ -31,7 +34,7 @@ from .ensembles import (
 )
 from .exact_linalg import det_is_zero, det_is_zero_array
 from .exposure import ExposureTrace, run_exposure, u_budget
-from .modp import ModMatrix, rank_mod_p, rank_of_array
+from .modp import gf2_ranks, pack_gf2, ranks_mod_p
 from .predictions import (
     Prediction,
     corank_prediction,
@@ -174,14 +177,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _rank(arr, p: int) -> int:
-    """Rank mod p of an int64 array; dispatches on the modulus size."""
-    if p < 2**31:
-        return rank_of_array(arr, p)
-    entries = tuple(int(x) % p for x in arr.ravel())
-    return rank_mod_p(ModMatrix(p, arr.shape[0], arr.shape[1], entries))
-
-
 def wilson_interval(count: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
@@ -199,6 +194,38 @@ def _map_trials(trials: int, worker: Callable[[int], object], threads: int) -> L
         return [worker(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(trials)))
+
+
+# Rank experiments eliminate up to this many trials as one batch, fewer
+# when an odd-p chunk's int64 matrices would pass the byte cap.
+_CHUNK_TRIALS = 256
+_CHUNK_BYTES = 1 << 24
+
+
+def _iid_ranks(cfg: ExperimentConfig, m: int, ps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Per trial, the ranks mod each prime of ps of its n x m iid matrix.
+
+    Trial i draws from the substream derive_seed(master_seed, i) exactly
+    as a one-trial-at-a-time loop would; for p = 2 a chunk keeps only the
+    packed rows.
+    """
+    for p in ps:
+        if not _primes.is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+
+    def worker(chunk: range) -> List[Tuple[int, ...]]:
+        held = {p: [] for p in ps}
+        for i in chunk:
+            arr = sample_array(EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
+            for p in ps:
+                held[p].append(pack_gf2(arr) if p == 2 else arr)
+        ranks = [gf2_ranks(held[p], m) if p == 2 else ranks_mod_p(held[p], p) for p in ps]
+        return list(zip(*(r.tolist() for r in ranks)))
+
+    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * cfg.n * m)))
+    chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+    parts = _map_trials(len(chunks), lambda k: worker(chunks[k]), cfg.threads)
+    return [ranks for part in parts for ranks in part]
 
 
 def _outcome(
@@ -224,17 +251,11 @@ def _outcome(
 
 def run_corank_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical corank distribution mod p for square matrices."""
-    if cfg.p is None or not _primes.is_probable_prime(cfg.p):
+    if cfg.p is None:
         raise ValueError("corank experiment needs a prime p")
     p = cfg.p
     start = time.perf_counter()
-
-    def worker(i: int) -> int:
-        spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=cfg.n)
-        arr = sample_array(spec)
-        return cfg.n - _rank(arr, p)
-
-    counts = Counter(_map_trials(cfg.trials, worker, cfg.threads))
+    counts = Counter(cfg.n - r for (r,) in _iid_ranks(cfg, cfg.n, (p,)))
     outcomes = []
     for k in sorted(set(range(min(cfg.k_predict, cfg.n) + 1)) | set(counts)):
         pred = corank_prediction(p, k) if k <= cfg.k_predict else None
@@ -260,14 +281,9 @@ def run_trivial_cokernel_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if not cfg.primes:
             raise ValueError("p_restricted mode needs a prime set")
         ps = tuple(sorted(set(cfg.primes)))
-
-        def worker(i: int) -> bool:
-            spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m)
-            arr = sample_array(spec)
-            return all(_rank(arr, p) == cfg.n for p in ps)
-
         prediction = trivial_cokernel_prediction(ps, u)
         label = "trivial_p_part"
+        results = [all(r == cfg.n for r in ranks) for ranks in _iid_ranks(cfg, m, ps)]
     else:
         def worker(i: int) -> bool:
             spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m)
@@ -275,8 +291,8 @@ def run_trivial_cokernel_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
         prediction = trivial_cokernel_all_primes(u)
         label = "trivial"
+        results = _map_trials(cfg.trials, worker, cfg.threads)
 
-    results = _map_trials(cfg.trials, worker, cfg.threads)
     count = sum(map(bool, results))
     outcomes = (
         _outcome(label, count, cfg.trials, cfg.confidence, prediction, tolerance=cfg.tolerance),
@@ -300,18 +316,14 @@ def run_singularity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.mode == "mod_p":
         if cfg.p is None:
             raise ValueError("mod_p mode needs a reference prime")
-        p = cfg.p
-
-        def worker(i: int) -> bool:
-            spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=cfg.n)
-            return _rank(sample_array(spec), p) < cfg.n
-
+        results = [r < cfg.n for (r,) in _iid_ranks(cfg, cfg.n, (cfg.p,))]
     else:
         def worker(i: int) -> bool:
             spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=cfg.n)
             return det_is_zero_array(sample_array(spec))
 
-    results = _map_trials(cfg.trials, worker, cfg.threads)
+        results = _map_trials(cfg.trials, worker, cfg.threads)
+
     count = sum(map(bool, results))
     passed = count <= cfg.max_singular if cfg.max_singular is not None else None
     outcomes = (
@@ -340,7 +352,8 @@ def run_symmetric_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         step = max(1, cfg.n // 8)
         for ii in range(0, cfg.n, step):
             for jj in range(ii, cfg.n, step):
-                assert matrix.at(ii, jj) == matrix.at(jj, ii)
+                if matrix.at(ii, jj) != matrix.at(jj, ii):
+                    raise RuntimeError(f"symmetric sample of trial {i} differs at ({ii}, {jj})")
         return is_surjective(matrix).is_surjective
 
     results = _map_trials(cfg.trials, worker, cfg.threads)

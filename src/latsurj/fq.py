@@ -237,7 +237,8 @@ class FieldTable:
             frob = self.pow(frob, self.p)
             acc = self.add(acc, frob)
         digits = self.digits(acc)
-        assert all(d == 0 for d in digits[1:]), "trace left the prime subfield"
+        if any(digits[1:]):
+            raise RuntimeError(f"trace of {x} left the prime subfield")
         return digits[0]
 
     def trace(self, x: int) -> int:

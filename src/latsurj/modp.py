@@ -135,6 +135,64 @@ def corank_mod_p(m: ModMatrix) -> int:
     return m.rows - rank_mod_p(m)
 
 
+# -- batched ranks ---------------------------------------------------------
+
+
+def pack_gf2(a: np.ndarray) -> np.ndarray:
+    """Rows of an integer array mod 2 as bit-packed uint64 words.
+
+    Shape (..., n, m) becomes (..., n, ceil(m / 64)); column j is bit
+    j % 64 of word j // 64.  Negative entries reduce like any other
+    (-1 is odd).
+    """
+    bytes_ = np.packbits((a & 1).astype(np.uint8), axis=-1, bitorder="little")
+    pad = -bytes_.shape[-1] % 8
+    if pad:
+        bytes_ = np.concatenate([bytes_, np.zeros(bytes_.shape[:-1] + (pad,), np.uint8)], axis=-1)
+    return np.ascontiguousarray(bytes_).view("<u8")
+
+
+def gf2_ranks(packed: np.ndarray, cols: int) -> np.ndarray:
+    """Ranks over F_2 of a (T, n, W) stack of pack_gf2 matrices with `cols` columns.
+
+    All T matrices are eliminated together, one column at a time: each
+    takes its first row carrying the bit as pivot and XORs it into every
+    row carrying the bit, the pivot included.  The pivot row thus drops
+    out as zero and counts one toward the rank; no other row keeps the bit.
+    """
+    rows = np.array(packed, dtype=np.uint64)
+    count, n, _ = rows.shape
+    trial = np.arange(count)
+    ranks = np.zeros(count, dtype=np.int64)
+    for c in range(cols):
+        hit = ((rows[:, :, c // 64] >> (c % 64)) & 1).astype(bool)
+        piv = hit.argmax(axis=1)
+        pivot_rows = rows[trial, piv]
+        np.bitwise_xor(rows, pivot_rows[:, None, :], out=rows, where=hit[:, :, None])
+        ranks += hit[trial, piv]
+        if (ranks == n).all():
+            break
+    return ranks
+
+
+def ranks_mod_p(stack, p: int) -> np.ndarray:
+    """Rank over F_p (p prime) of each matrix in a (T, n, m) integer stack, as int64[T].
+
+    p = 2 packs the stack into bits and eliminates all trials at once;
+    other word-size primes take rank_of_array per matrix, and larger
+    primes the arbitrary-precision rank_mod_p.
+    """
+    stack = np.asarray(stack)
+    if p == 2:
+        return gf2_ranks(pack_gf2(stack), stack.shape[-1])
+    if p < _WORD_PRIME_LIMIT:
+        return np.array([rank_of_array(a, p) for a in stack], dtype=np.int64)
+    return np.array(
+        [rank_mod_p(ModMatrix(p, *a.shape, tuple(int(x) % p for x in a.ravel()))) for a in stack],
+        dtype=np.int64,
+    )
+
+
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, List[int]]:
     """Reduced row echelon form and pivot column list (word-size p)."""
     a = np.mod(a.astype(np.int64, copy=True), p)
@@ -339,14 +397,6 @@ class ColumnSpace:
         pivots.insert(insert_at, j)
         rows.insert(insert_at, new_row)
         return ColumnSpace(p, self.ambient, tuple(pivots), tuple(rows))
-
-
-def in_column_space(space: ColumnSpace, x: Sequence[int]) -> bool:
-    return space.contains(x)
-
-
-def extend_column_space(space: ColumnSpace, x: Sequence[int]) -> ColumnSpace:
-    return space.extend(x)
 
 
 # -- sparse annihilators -------------------------------------------------

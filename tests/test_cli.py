@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from latsurj import cli
 from latsurj.cli import main
+from latsurj.primes import FactorizationError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -145,6 +147,26 @@ def test_bad_value_exit_2(tmp_path):
     code, _, err = run_cli(["certify", str(path)])
     assert code == 2
     assert "error:" in err
+
+
+def test_overflowing_support_exit_2():
+    code, _, err = run_cli(
+        ["experiment", "corank", "--n", "4", "--p", "2",
+         "--dist", "0:1/2,4611686018427387904:1/2", "--trials", "3"]
+    )
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("broken invariant"), FactorizationError("budget")])
+def test_internal_errors_exit_2(monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    code, _, err = run_cli(["experiment", "corank", "--n", "4", "--p", "2", "--trials", "3"])
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {exc}"
 
 
 def test_config_file_and_env_overrides(tmp_path):

@@ -103,6 +103,13 @@ def test_symmetrize_weight_identities(dist):
     assert alpha <= alpha_sym <= 2 * alpha
 
 
+def test_symmetrize_identity_violation_raises(monkeypatch):
+    # a zero mass of 1 puts alpha' = 0 below alpha; the check must hold under python -O
+    monkeypatch.setattr(Distribution, "weight_of", lambda self, value: Fraction(1))
+    with pytest.raises(RuntimeError, match="balance identity"):
+        symmetrize(U01)
+
+
 # -- literals ---------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,10 @@ from latsurj.ensembles import (
     Distribution,
     EnsembleSpec,
     derive_seed,
-    sample_matrix,
+    sample_array,
 )
+from latsurj.exact_linalg import IntMatrix
+from latsurj import experiments
 from latsurj.experiments import (
     CORANK,
     EXPOSURE,
@@ -20,6 +24,7 @@ from latsurj.experiments import (
     run_experiment,
     wilson_interval,
 )
+from latsurj.modp import rank_of_array
 
 U01 = Distribution.uniform([0, 1])
 POINT0 = Distribution(((0, Fraction(1)),))
@@ -136,12 +141,49 @@ def test_exposure_experiment_traces_and_rows():
             assert is_surjective(t.final_matrix).is_surjective
 
 
+def test_symmetric_experiment_rejects_asymmetric_sample(monkeypatch):
+    def asymmetric(spec):
+        return IntMatrix(spec.n, spec.m, tuple(range(spec.n * spec.m)))
+
+    monkeypatch.setattr(experiments, "sample_matrix", asymmetric)
+    cfg = ExperimentConfig(SYMMETRIC, n=4, trials=1, master_seed=6, dist=U01, u=1)
+    with pytest.raises(RuntimeError, match="symmetric sample"):
+        run_experiment(cfg)
+
+
+def _one_trial_at_a_time(cfg):
+    """Outcome counts recomputed trial by trial from (master_seed, i)."""
+    m = cfg.n + (cfg.u or 0)
+    counts = Counter()
+    for i in range(cfg.trials):
+        a = sample_array(EnsembleSpec("iid_rect", cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
+        if cfg.experiment == CORANK:
+            counts[f"corank={cfg.n - rank_of_array(a, cfg.p)}"] += 1
+        elif cfg.experiment == TRIVIAL:
+            full = all(rank_of_array(a, p) == cfg.n for p in cfg.primes)
+            counts["trivial_p_part" if full else "nontrivial_p_part"] += 1
+        else:
+            counts["singular" if rank_of_array(a, cfg.p) < cfg.n else "nonsingular"] += 1
+    return counts
+
+
 def test_trial_matrices_recoverable_from_seed():
-    cfg = ExperimentConfig(CORANK, n=6, trials=3, master_seed=123, dist=U01, p=2)
-    run_experiment(cfg)
-    # the matrix of trial i is fully determined by (master_seed, i)
-    spec = EnsembleSpec("iid_rect", 6, U01, derive_seed(123, 1), m=6)
-    assert sample_matrix(spec) == sample_matrix(spec)
+    # Rank experiments eliminate chunks of up to 256 trials at once; each
+    # trial must still equal its own (master_seed, i) matrix taken alone.
+    u101 = Distribution.uniform([-1, 0, 1])
+    configs = [
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=U01, p=2),
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=u101, p=3),
+        ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, primes=(2, 3), mode="p_restricted"),
+        ExperimentConfig(SINGULARITY, n=5, trials=1, master_seed=0, dist=U01, mode="mod_p", p=2),
+    ]
+    runs = [(1, 3, 1), (255, 11, 1), (256, 12, 2), (257, 13, 1), (513, 14, 3)]
+    for cfg in configs:
+        for trials, seed, threads in runs:
+            run = replace(cfg, trials=trials, master_seed=seed, threads=threads)
+            report = run_experiment(run)
+            counts = Counter({o.label: o.count for o in report.outcomes if o.count})
+            assert counts == _one_trial_at_a_time(run), (run.experiment, run.p, trials)
 
 
 # -- determinism across worker counts ----------------------------------------
@@ -192,7 +234,5 @@ def test_report_serialization_schema():
 
 def test_unknown_experiment_rejected():
     cfg = ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2)
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         run_experiment(replace(cfg, experiment="nope"))

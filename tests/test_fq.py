@@ -66,6 +66,13 @@ def test_multiplicative_group_cyclic(p, f):
     assert powers == set(range(1, fld.q))
 
 
+def test_trace_outside_prime_subfield_raises(monkeypatch):
+    # a sum landing on the element p (digits 0, 1) is not in F_p
+    monkeypatch.setattr(FieldTable, "add", lambda self, a, b: self.p)
+    with pytest.raises(RuntimeError, match="prime subfield"):
+        FieldTable(2, 2)
+
+
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
 def test_trace_is_linear_onto_prime_field(p, f):
     fld = field(p, f)

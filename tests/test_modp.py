@@ -1,21 +1,22 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsurj.exact_linalg import IntMatrix
 from latsurj.modp import (
     ColumnSpace,
     ModMatrix,
-    extend_column_space,
     has_sparse_annihilator,
-    in_column_space,
     iter_subspaces,
     kernel_vector,
     left_kernel_vector,
     rank_mod_p,
+    rank_of_array,
+    ranks_mod_p,
     reduce_mod,
     subspace_elements,
 )
@@ -70,6 +71,51 @@ def test_rank_big_prime_backend():
     assert rank_mod_p(m) == 2
 
 
+# -- batched ranks -------------------------------------------------------
+
+
+@st.composite
+def gf2_stacks(draw):
+    """(T, n, m) integer stacks; m of 64 and above spans several words, and
+    a zero prefix forces the pivots into the last columns."""
+    shape = (
+        draw(st.integers(1, 4)),
+        draw(st.sampled_from([1, 2, 3, 5, 9])),
+        draw(st.sampled_from([1, 2, 7, 63, 64, 65, 130])),
+    )
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "duplicate_rows", "zero_prefix"]))
+    if kind == "zeros":
+        return np.zeros(shape, dtype=np.int64)
+    if kind == "ones":
+        return np.ones(shape, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(-3, 4, size=shape)
+    if kind == "duplicate_rows":
+        stack[:, -1] = stack[:, 0]
+    if kind == "zero_prefix":
+        stack[:, :, : max(shape[2] - shape[1], 0)] = 0
+    return stack
+
+
+@given(gf2_stacks())
+@example(np.ones((1, 1, 1), dtype=np.int64))
+@example(np.zeros((2, 3, 65), dtype=np.int64))
+@example(-np.ones((1, 4, 130), dtype=np.int64))
+@example(np.tile(np.arange(-2, 3), (2, 3, 13)))
+@settings(max_examples=120, deadline=None)
+def test_gf2_ranks_match_rank_of_array(stack):
+    assert ranks_mod_p(stack, 2).tolist() == [rank_of_array(a, 2) for a in stack]
+
+
+def test_ranks_mod_p_other_primes():
+    stack = np.random.default_rng(5).integers(-4, 5, size=(6, 4, 7))
+    stack[0, 1] = 2 * stack[0, 0]
+    assert ranks_mod_p(stack, 3).tolist() == [rank_of_array(a, 3) for a in stack]
+    p = (1 << 61) - 1
+    expected = [rank_mod_p(ModMatrix(p, 4, 7, tuple(int(x) % p for x in a.ravel()))) for a in stack]
+    assert ranks_mod_p(stack, p).tolist() == expected
+
+
 def test_kernel_vectors():
     m = reduce_mod(IntMatrix.from_rows([[1, 2], [2, 4]]), 5)
     v = kernel_vector(m)
@@ -86,10 +132,10 @@ def test_kernel_vectors():
 
 def test_membership_examples():
     s = ColumnSpace.from_columns(5, [(1, 0, 0)], 3)
-    assert in_column_space(s, (0, 0, 0))
-    assert not in_column_space(s, (0, 1, 0))
+    assert s.contains((0, 0, 0))
+    assert not s.contains((0, 1, 0))
     s2 = ColumnSpace.from_columns(3, [(1, 1), (0, 1)], 2)
-    assert in_column_space(s2, (2, 0))
+    assert s2.contains((2, 0))
 
 
 def test_membership_dimension_mismatch():
@@ -101,12 +147,12 @@ def test_membership_dimension_mismatch():
 def test_extend_examples():
     empty = ColumnSpace(2, 3)
     assert empty.dimension == 0
-    s = extend_column_space(empty, (1, 0, 0))
+    s = empty.extend((1, 0, 0))
     assert s.dimension == 1
-    unchanged = extend_column_space(s, (0, 0, 0))
+    unchanged = s.extend((0, 0, 0))
     assert unchanged.dimension == 1
     s2 = ColumnSpace.from_columns(2, [(1, 1)], 2)
-    assert extend_column_space(s2, (0, 1)).dimension == 2
+    assert s2.extend((0, 1)).dimension == 2
 
 
 def test_extend_is_persistent_and_idempotent():
