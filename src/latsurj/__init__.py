@@ -16,17 +16,10 @@ from .exact_linalg import (
     det_bareiss,
     det_mod_crt,
     format_matrix,
-    hadamard_bound,
     parse_matrix,
     smith_normal_form,
 )
-from .modp import (
-    ColumnSpace,
-    ModMatrix,
-    has_sparse_annihilator,
-    rank_mod_p,
-    reduce_mod,
-)
+from .modp import ColumnSpace, echelon, rank_mod_p
 from .ensembles import (
     Distribution,
     EnsembleSpec,
@@ -37,7 +30,7 @@ from .ensembles import (
     sparse_bernoulli,
     symmetrize,
 )
-from .certifier import Certificate, is_surjective, prime_divisors, surjective_mod_p, verify_certificate
+from .certifier import Certificate, is_surjective, surjective_mod_p, verify_certificate
 from .exposure import ExposureTrace, batch_size, epsilon_n, run_exposure, u_budget
 from .predictions import (
     Prediction,

@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import primes as _primes
 from .exact_linalg import IntMatrix, cokernel, det
-from .modp import left_kernel_vector, rank_mod_p, reduce_mod
+from .modp import echelon, left_kernel_vector, rank_mod_p
 
 SURJECTIVE = "surjective"
 NOT_SURJECTIVE = "not_surjective"
@@ -91,49 +89,13 @@ class Certificate:
         return out
 
 
-def prime_divisors(d: int) -> set[int]:
-    """Exact prime divisor set of a nonzero integer.
-
-    Raises FactorizationError when a composite cofactor resists the
-    budget; callers fall back to Smith-form reasoning.
-    """
-    return _primes.prime_divisors(d)
-
-
 def surjective_mod_p(m: IntMatrix, p: int) -> bool:
     """True iff M mod p has full row rank (i.e. is surjective onto F_p^n)."""
     if m.cols < m.rows:
         raise ValueError("need at least as many columns as rows")
-    return rank_mod_p(reduce_mod(m, p)) == m.rows
-
-
-def _pivot_columns_mod(m: IntMatrix, p: int) -> List[int]:
-    """Greedy pivot columns of M over F_p (first independent columns)."""
-    if m.max_abs() < 2**62:
-        a = np.mod(m.to_array(), p)
-    else:
-        a = np.array([[x % p for x in m.row(i)] for i in range(m.rows)], dtype=np.int64)
-    rows, cols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = a[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - np.outer(below[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    if not _primes.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return rank_mod_p(m.to_array(), p) == m.rows
 
 
 def _pivot_columns_exact(m: IntMatrix) -> Tuple[List[int], int]:
@@ -172,26 +134,6 @@ def _pivot_columns_exact(m: IntMatrix) -> Tuple[List[int], int]:
     return pivots, r
 
 
-def _rational_pivots(m: IntMatrix) -> Tuple[List[int], Optional[int]]:
-    """(pivot columns, rational rank or None when full by the fast path).
-
-    A full-rank result modulo the fixed pivot prime already proves full
-    rational rank; only the deficient case needs the exact pass.
-    """
-    pivots = _pivot_columns_mod(m, _PIVOT_PRIME)
-    if len(pivots) == m.rows:
-        return pivots, None
-    exact_pivots, rank = _pivot_columns_exact(m)
-    return exact_pivots, rank
-
-
-def _annihilator_witness(m: IntMatrix, p: int) -> Tuple[int, ...]:
-    w = left_kernel_vector(reduce_mod(m, p))
-    if w is None:
-        raise RuntimeError("annihilator requested for a full-rank reduction")
-    return w
-
-
 def is_surjective(m: IntMatrix) -> Certificate:
     """Decide surjectivity of M: Z^cols -> Z^rows with a certificate."""
     if m.cols < m.rows:
@@ -199,14 +141,19 @@ def is_surjective(m: IntMatrix) -> Certificate:
             verdict=NOT_SURJECTIVE, method=METHOD_PRIME_REDUCTION, reason="shape"
         )
 
-    pivots, rank = _rational_pivots(m)
-    if rank is not None and rank < m.rows:
-        return Certificate(
-            verdict=NOT_SURJECTIVE,
-            method=METHOD_PRIME_REDUCTION,
-            reason="rank_deficient",
-            rational_rank=rank,
-        )
+    # Full rank modulo the fixed pivot prime already proves full rational
+    # rank; only a deficient result needs the exact pass.
+    a = m.to_array()
+    pivots = echelon(a, _PIVOT_PRIME)[1]
+    if len(pivots) < m.rows:
+        pivots, rank = _pivot_columns_exact(m)
+        if rank < m.rows:
+            return Certificate(
+                verdict=NOT_SURJECTIVE,
+                method=METHOD_PRIME_REDUCTION,
+                reason="rank_deficient",
+                rational_rank=rank,
+            )
 
     columns = tuple(pivots)
     d1 = det(m.take_columns(columns))
@@ -252,7 +199,7 @@ def is_surjective(m: IntMatrix) -> Certificate:
 
     checks: List[Tuple[int, bool]] = []
     for p in sorted(factors):
-        ok = surjective_mod_p(m, p)
+        ok = rank_mod_p(a, p) == m.rows
         checks.append((p, ok))
         if not ok:
             return Certificate(
@@ -260,7 +207,7 @@ def is_surjective(m: IntMatrix) -> Certificate:
                 method=METHOD_PRIME_REDUCTION,
                 reason="mod_p",
                 prime=p,
-                annihilator=_annihilator_witness(m, p),
+                annihilator=left_kernel_vector(a, p),
             )
     return Certificate(
         verdict=SURJECTIVE,
@@ -352,9 +299,10 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
     checked = dict(cert.prime_checks or ())
     if set(checked) != set(factorization):
         return False
+    a = m.to_array()
     for p in factorization:
         if not checked[p]:
             return False
-        if rank_mod_p(reduce_mod(m, p)) != m.rows:
+        if rank_mod_p(a, p) != m.rows:
             return False
     return True

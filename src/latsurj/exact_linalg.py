@@ -1,21 +1,22 @@
 """Arbitrary-precision integer matrix algebra.
 
 Provides the immutable :class:`IntMatrix`, exact determinants (fraction-free
-elimination and a CRT fast path sized by the Hadamard bound), Smith normal
-form with unimodular transforms, and cokernel structure extraction.
+elimination, and a CRT fast path that runs :func:`latsurj.modp.echelon`
+modulo word-size primes until their product passes twice the Hadamard
+bound), Smith normal form with unimodular transforms, and cokernel
+structure extraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import primes as _primes
-
-_INT64_MAX = 2**62  # conservative bound for "fits in int64 safely"
+from .modp import echelon, int_array
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,8 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_array(self) -> np.ndarray:
-        if self.max_abs() >= _INT64_MAX:
-            raise OverflowError("entries do not fit in int64")
-        return np.array(self.to_rows(), dtype=np.int64)
+        """Entries as a 2-d array: int64 when they all fit, else Python ints."""
+        return int_array(self.entries).reshape(self.rows, self.cols)
 
     def max_abs(self) -> int:
         return max(abs(x) for x in self.entries)
@@ -143,24 +143,6 @@ def parse_matrix(text: str) -> IntMatrix:
 # -- determinants ------------------------------------------------------
 
 
-def hadamard_bound(n: int, k0: int) -> int:
-    """Ceiling of (k0*n)^(n/2).
-
-    Exact when n is even; for odd n the square root is rounded up.  For
-    k0 = 1 this is the Hadamard determinant bound.  Note it is NOT a valid
-    determinant bound for k0 > 1 (n = 1 with a single entry k0 already
-    exceeds sqrt(k0)); internal CRT sizing uses _det_bound instead.
-    """
-    if n < 1 or k0 < 1:
-        raise ValueError("need n >= 1 and k0 >= 1")
-    base = k0 * n
-    if n % 2 == 0:
-        return base ** (n // 2)
-    power = base**n
-    s = math.isqrt(power)
-    return s if s * s == power else s + 1
-
-
 def _det_bound(n: int, k0: int) -> int:
     """True Hadamard bound k0^n * n^(n/2) >= |det| for |entries| <= k0."""
     if n % 2 == 0:
@@ -201,74 +183,31 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_mod_word_prime(a: np.ndarray, p: int) -> int:
-    """Determinant of an int64 residue matrix over F_p (p < 2^30)."""
-    a = np.mod(a, p)
-    n = a.shape[0]
-    det = 1
-    sign = 1
-    for k in range(n):
-        nz = np.nonzero(a[k:, k])[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            sign = -sign
-        pivot = int(a[k, k])
-        det = det * pivot % p
-        if k + 1 < n:
-            inv = pow(pivot, -1, p)
-            factors = a[k + 1 :, k] * inv % p
-            block = a[k + 1 :, k + 1 :]
-            block -= factors[:, None] * a[k, k + 1 :]
-            block %= p
-    return det * sign % p
+def _det_residues(a: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """(p, det(a) mod p) over word-size CRT primes, lazily.
 
-
-def _residue_matrices(m: IntMatrix, primes_list) -> Iterable[np.ndarray]:
-    """Residue matrix per prime; converts to int64 once when possible."""
-    if m.max_abs() < _INT64_MAX:
-        arr = m.to_array()
-        for p in primes_list:
-            yield np.mod(arr, p)
-    else:
-        for p in primes_list:
-            yield np.array(
-                [[x % p for x in m.row(i)] for i in range(m.rows)], dtype=np.int64
-            )
+    The primes stop once their product exceeds twice the Hadamard bound
+    for a's actual maximum entry, which pins the signed determinant.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("determinant requires a square matrix")
+    bound = 2 * _det_bound(a.shape[0], max(1, int(a.max()), -int(a.min())))
+    modulus = 1
+    for p in _primes.crt_primes(bound.bit_length() // 29 + 1):
+        yield p, echelon(a, p)[2]
+        modulus *= p
+        if modulus > bound:
+            return
 
 
 def det_mod_crt(m: IntMatrix) -> int:
-    """Exact determinant via CRT over word-size primes.
-
-    The prime set is sized so its product exceeds twice the Hadamard bound
-    for the matrix's actual maximum entry, which pins the signed value.
-    """
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    k0 = max(1, m.max_abs())
-    bound = 2 * _det_bound(n, k0)
-    count = max(1, bound.bit_length() // 29 + 1)
-    primes = _primes.crt_primes(count)
-
-    residue = 0
-    modulus = 1
-    for p, res_matrix in zip(primes, _residue_matrices(m, primes)):
-        r = _det_mod_word_prime(res_matrix, p)
-        if modulus == 1:
-            residue, modulus = r, p
-        else:
-            # lift: x = residue (mod modulus), x = r (mod p)
-            t = (r - residue) * pow(modulus % p, -1, p) % p
-            residue += modulus * t
-            modulus *= p
-        if modulus > bound:
-            break
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
+    """Exact determinant via CRT over word-size primes."""
+    residue, modulus = 0, 1
+    for p, r in _det_residues(m.to_array()):
+        # lift: x = residue (mod modulus), x = r (mod p)
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return residue - modulus if residue > modulus // 2 else residue
 
 
 def det(m: IntMatrix) -> int:
@@ -280,44 +219,14 @@ def det(m: IntMatrix) -> int:
     return det_mod_crt(m)
 
 
-def det_is_zero(m: IntMatrix) -> bool:
-    """Exact singularity test with early exit.
+def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
+    """Exact singularity test of a square IntMatrix or integer array.
 
     Stops at the first nonzero modular residue; only a genuinely singular
     matrix pays for the full CRT prime set.
     """
-    if not m.is_square:
-        raise ValueError("singularity test requires a square matrix")
-    if m.max_abs() < _INT64_MAX:
-        return det_is_zero_array(m.to_array())
-    bound = 2 * _det_bound(m.rows, max(1, m.max_abs()))
-    count = max(1, bound.bit_length() // 29 + 1)
-    primes = _primes.crt_primes(count)
-    modulus = 1
-    for p, res_matrix in zip(primes, _residue_matrices(m, primes)):
-        if _det_mod_word_prime(res_matrix, p) != 0:
-            return False
-        modulus *= p
-        if modulus > bound:
-            break
-    return True
-
-
-def det_is_zero_array(arr: np.ndarray) -> bool:
-    """det_is_zero on an int64 array, avoiding IntMatrix conversion."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("singularity test requires a square matrix")
-    k0 = max(1, int(np.abs(arr).max()))
-    bound = 2 * _det_bound(arr.shape[0], k0)
-    count = max(1, bound.bit_length() // 29 + 1)
-    modulus = 1
-    for p in _primes.crt_primes(count):
-        if _det_mod_word_prime(np.mod(arr, p), p) != 0:
-            return False
-        modulus *= p
-        if modulus > bound:
-            break
-    return True
+    a = m.to_array() if isinstance(m, IntMatrix) else np.asarray(m)
+    return not any(r for _, r in _det_residues(a))
 
 
 # -- Smith normal form -------------------------------------------------

@@ -32,7 +32,7 @@ from .ensembles import (
     sample_array,
     sample_matrix,
 )
-from .exact_linalg import det_is_zero, det_is_zero_array
+from .exact_linalg import det_is_zero
 from .exposure import ExposureTrace, run_exposure, u_budget
 from .modp import gf2_ranks, pack_gf2, ranks_mod_p
 from .predictions import (
@@ -320,7 +320,7 @@ def run_singularity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         def worker(i: int) -> bool:
             spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=cfg.n)
-            return det_is_zero_array(sample_array(spec))
+            return det_is_zero(sample_array(spec))
 
         results = _map_trials(cfg.trials, worker, cfg.threads)
 

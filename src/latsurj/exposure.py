@@ -155,8 +155,9 @@ def run_exposure(
     else:
         raise ValueError(f"unknown prime source {prime_source!r}")
 
+    m0_columns = [m0.column(j) for j in range(n)]
     spaces: Dict[int, ColumnSpace] = {
-        p: ColumnSpace.from_matrix(m0, p) for p in tracked
+        p: ColumnSpace.from_columns(p, m0_columns, n) for p in tracked
     }
     coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}
     trajectories: Dict[int, List[int]] = {p: [coranks[p]] for p in tracked}
@@ -179,7 +180,7 @@ def run_exposure(
             extra_columns.append(col)
             for p in tracked:
                 if coranks[p] > 0:
-                    space = spaces[p].extend([c % p for c in col])
+                    space = spaces[p].extend(col)
                     if space.dimension > spaces[p].dimension:
                         spaces[p] = space
                         coranks[p] = n - space.dimension

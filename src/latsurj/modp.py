@@ -1,138 +1,117 @@
 """Linear algebra over prime fields F_p.
 
-Two elimination backends sit behind every operation: vectorized int64
-arithmetic for word-size moduli (p < 2^31, so residue products fit in
-int64) and plain Python integers for larger primes, which the certifier
-does produce when determinants carry huge prime divisors.
+One elimination kernel, :func:`echelon`, serves every whole-matrix
+operation: rank, greedy pivot columns, the determinant mod p and kernel
+vectors are all read off its row echelon form.  It runs the same numpy
+code on an int64 array for word-size moduli (p < 2^31, so a product of
+two residues fits in int64) and on an object array of Python integers
+beyond, which the certifier needs when determinants carry huge prime
+divisors.  Stacks of matrices mod 2 have their own bit-packed kernel
+(:func:`gf2_ranks`), and :class:`ColumnSpace` keeps a reduced basis that
+grows one column at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import primes as _primes
-from .exact_linalg import IntMatrix
 
 _WORD_PRIME_LIMIT = 2**31
 
 
-@dataclass(frozen=True)
-class ModMatrix:
-    """Matrix over F_p with entries reduced to [0, p)."""
-
-    modulus: int
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not _primes.is_probable_prime(self.modulus):
-            raise ValueError(f"{self.modulus} is not prime")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count mismatch")
-        if any(x < 0 or x >= self.modulus for x in self.entries):
-            raise ValueError("entries must be reduced to [0, modulus)")
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> Tuple[int, ...]:
-        return self.entries[j :: self.cols]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.entries[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)],
-            dtype=np.int64,
-        )
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(
-            self.modulus,
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+def int_array(a) -> np.ndarray:
+    """a as an int64 array, or an object array of Python ints when an entry
+    does not fit (numpy itself would pick uint64 or float64)."""
+    if isinstance(a, np.ndarray):
+        return a.astype(object) if a.dtype == np.uint64 else a
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        return np.array(a, dtype=object)
 
 
-def reduce_mod(m: IntMatrix, p: int) -> ModMatrix:
-    """Entrywise reduction of an integer matrix to nonnegative residues."""
-    if not _primes.is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return ModMatrix(p, m.rows, m.cols, tuple(x % p for x in m.entries))
+def _residues(a, p: int, dtype) -> np.ndarray:
+    """A fresh array of the entries of a reduced to [0, p), as int64 or object."""
+    a = int_array(a)
+    if dtype == object and a.dtype != object:
+        a = a.astype(object)  # Python ints: no wraparound, no overflow
+    return np.mod(a, p).astype(dtype, copy=False)
 
 
 # -- elimination -------------------------------------------------------
 
 
-def rank_of_array(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an int64 array (word-size p), by elimination."""
-    if p >= _WORD_PRIME_LIMIT:
-        raise ValueError("rank_of_array needs a word-size modulus; use rank_mod_p")
-    a = np.mod(a.astype(np.int64, copy=True), p)
-    rows, cols = a.shape
-    r = 0
+def echelon(a, p: int) -> Tuple[np.ndarray, List[int], int]:
+    """Row echelon form of an integer matrix over F_p (p prime).
+
+    Returns (e, pivots, det).  e is a reduced mod p, with zeros below
+    each pivot; pivot rows are not normalised.  pivots lists the pivot
+    column of each nonzero row of e, which are the greedy first
+    independent columns of a, so len(pivots) is the rank.  det is the
+    determinant mod p when a is square and 0 otherwise.  The caller's
+    array is never modified.
+    """
+    e = _residues(a, p, np.int64 if p < _WORD_PRIME_LIMIT else object)
+    rows, cols = e.shape
+    pivots: List[int] = []
+    det = 1
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = e[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1 :, c]
-        if below.any():
-            block = a[r + 1 :, c:]
-            block -= below[:, None] * a[r, c:]
-            block %= p
-        r += 1
-        if r == rows:
-            break
-    return r
+            e[[r, i]] = e[[i, r]]
+            det = -det
+        pivot = int(e[r, c])
+        det = det * pivot % p
+        factors = e[r + 1 :, c] * pow(pivot, -1, p) % p
+        e[r + 1 :, c] = 0
+        block = e[r + 1 :, c + 1 :]
+        block -= factors[:, None] * e[r, c + 1 :]
+        block %= p
+        pivots.append(c)
+    if len(pivots) < cols or rows != cols:
+        det = 0
+    return e, pivots, det
 
 
-def _rank_python(rows: List[List[int]], p: int) -> int:
-    r = 0
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(r + 1, n_rows):
-            f = rows[i][c] % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def rank_mod_p(a, p: int) -> int:
+    """Rank over F_p of an integer matrix."""
+    return len(echelon(a, p)[1])
 
 
-def rank_mod_p(m: ModMatrix) -> int:
-    """Rank of m over F_p."""
-    if m.modulus < _WORD_PRIME_LIMIT:
-        return rank_of_array(m.to_array(), m.modulus)
-    return _rank_python([list(m.row(i)) for i in range(m.rows)], m.modulus)
+def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
+    """One nonzero x with a @ x = 0 over F_p, or None if a is injective.
+
+    x is 1 at the first free column and 0 at the later free columns; its
+    pivot entries follow by back-substitution on the echelon form.
+    """
+    e, pivots, _ = echelon(a, p)
+    cols = e.shape[1]
+    # pivots increase, so the first free column is the first j with pivots[j] != j
+    free = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
+    if free == cols:
+        return None
+    x = np.zeros(cols, dtype=e.dtype)
+    x[free] = 1
+    for i in range(free - 1, -1, -1):  # row i has its pivot in column i
+        s = int((e[i, i + 1 : free + 1] * x[i + 1 : free + 1] % p).sum())
+        x[i] = -s * pow(int(e[i, i]), -1, p) % p
+    return tuple(int(v) for v in x)
 
 
-def corank_mod_p(m: ModMatrix) -> int:
-    return m.rows - rank_mod_p(m)
+def left_kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
+    """One nonzero row vector w with w @ a = 0 over F_p, or None."""
+    return kernel_vector(int_array(a).T, p)
 
 
 # -- batched ranks ---------------------------------------------------------
@@ -179,96 +158,12 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     """Rank over F_p (p prime) of each matrix in a (T, n, m) integer stack, as int64[T].
 
     p = 2 packs the stack into bits and eliminates all trials at once;
-    other word-size primes take rank_of_array per matrix, and larger
-    primes the arbitrary-precision rank_mod_p.
+    other primes run echelon on one matrix at a time.
     """
     stack = np.asarray(stack)
     if p == 2:
         return gf2_ranks(pack_gf2(stack), stack.shape[-1])
-    if p < _WORD_PRIME_LIMIT:
-        return np.array([rank_of_array(a, p) for a in stack], dtype=np.int64)
-    return np.array(
-        [rank_mod_p(ModMatrix(p, *a.shape, tuple(int(x) % p for x in a.ravel()))) for a in stack],
-        dtype=np.int64,
-    )
-
-
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form and pivot column list (word-size p)."""
-    a = np.mod(a.astype(np.int64, copy=True), p)
-    rows, cols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def _rref_python(rows: List[List[int]], p: int) -> tuple[List[List[int]], List[int]]:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
-def kernel_vector(m: ModMatrix) -> Optional[Tuple[int, ...]]:
-    """One nonzero vector of the right kernel of m, or None if injective."""
-    p = m.modulus
-    if p < _WORD_PRIME_LIMIT:
-        rref, pivots = _rref_array(m.to_array(), p)
-        rref = rref.tolist()
-    else:
-        rref, pivots = _rref_python([list(m.row(i)) for i in range(m.rows)], p)
-    pivot_set = set(pivots)
-    free = next((j for j in range(m.cols) if j not in pivot_set), None)
-    if free is None:
-        return None
-    x = [0] * m.cols
-    x[free] = 1
-    for r, c in enumerate(pivots):
-        x[c] = (-rref[r][free]) % p
-    return tuple(x)
-
-
-def left_kernel_vector(m: ModMatrix) -> Optional[Tuple[int, ...]]:
-    """One nonzero row vector w with w @ m = 0 over F_p, or None."""
-    return kernel_vector(m.transpose())
+    return np.array([rank_mod_p(a, p) for a in stack], dtype=np.int64)
 
 
 # -- incremental column spaces ------------------------------------------
@@ -280,24 +175,24 @@ class ColumnSpace:
     The basis is kept fully reduced with unit pivots, so membership of x
     reduces to one matrix-vector product: x is in the span iff
     x == sum_i x[pivot_i] * basis_i.  Extension returns a new value.
+    The basis is int64 while that product cannot overflow, that is while
+    ambient * (p - 1)^2 < 2^63, and an object array of Python ints beyond.
     """
 
     __slots__ = ("modulus", "ambient", "_pivots", "_basis")
 
-    def __init__(self, modulus: int, ambient: int, _pivots=None, _basis=None):
-        if not _primes.is_probable_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
-        if ambient < 1:
-            raise ValueError("ambient dimension must be positive")
+    def __init__(self, modulus: int, ambient: int, _pivots: Tuple[int, ...] = (), _basis=None):
+        if _basis is None:
+            if not _primes.is_probable_prime(modulus):
+                raise ValueError(f"{modulus} is not prime")
+            if ambient < 1:
+                raise ValueError("ambient dimension must be positive")
+            dtype = np.int64 if ambient * (modulus - 1) ** 2 < 2**63 else object
+            _basis = np.zeros((0, ambient), dtype=dtype)
         self.modulus = modulus
         self.ambient = ambient
-        self._pivots: Tuple[int, ...] = _pivots if _pivots is not None else ()
-        if _basis is not None:
-            self._basis = _basis
-        elif modulus < _WORD_PRIME_LIMIT:
-            self._basis = np.zeros((0, ambient), dtype=np.int64)
-        else:
-            self._basis = ()
+        self._pivots = _pivots
+        self._basis = _basis
 
     @property
     def dimension(self) -> int:
@@ -308,9 +203,7 @@ class ColumnSpace:
         return self._pivots
 
     def basis_rows(self) -> List[Tuple[int, ...]]:
-        if isinstance(self._basis, np.ndarray):
-            return [tuple(int(x) for x in row) for row in self._basis]
-        return [tuple(row) for row in self._basis]
+        return [tuple(int(x) for x in row) for row in self._basis]
 
     @classmethod
     def from_columns(cls, modulus: int, columns: Sequence[Sequence[int]], ambient: int) -> "ColumnSpace":
@@ -319,120 +212,34 @@ class ColumnSpace:
             space = space.extend(col)
         return space
 
-    @classmethod
-    def from_matrix(cls, m: IntMatrix, p: int) -> "ColumnSpace":
-        reduced = reduce_mod(m, p)
-        return cls.from_columns(p, [reduced.column(j) for j in range(m.cols)], m.rows)
-
-    def _check(self, x: Sequence[int]) -> None:
+    def _residual(self, x: Sequence[int]) -> np.ndarray:
         if len(x) != self.ambient:
             raise ValueError(
                 f"vector length {len(x)} does not match ambient dimension {self.ambient}"
             )
-
-    def _residual(self, x: Sequence[int]):
-        p = self.modulus
-        if isinstance(self._basis, np.ndarray):
-            vec = np.mod(np.asarray(x, dtype=np.int64), p)
-            if self.dimension == 0:
-                return vec
-            coeffs = vec[np.array(self._pivots, dtype=np.intp)]
-            return (vec - coeffs @ self._basis) % p
-        vec = [v % p for v in x]
-        for piv, row in zip(self._pivots, self._basis):
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-        return vec
+        vec = _residues(x, self.modulus, self._basis.dtype)
+        if self.dimension == 0:
+            return vec
+        coeffs = vec[list(self._pivots)]
+        return (vec - coeffs @ self._basis) % self.modulus
 
     def contains(self, x: Sequence[int]) -> bool:
-        self._check(x)
-        r = self._residual(x)
-        if isinstance(r, np.ndarray):
-            return not r.any()
-        return not any(r)
+        return not self._residual(x).any()
 
     def extend(self, x: Sequence[int]) -> "ColumnSpace":
         """Span of self and x; dimension grows by one iff x is outside."""
-        self._check(x)
         p = self.modulus
         r = self._residual(x)
-        if isinstance(r, np.ndarray):
-            nz = np.nonzero(r)[0]
-            if nz.size == 0:
-                return self
-            j = int(nz[0])
-            inv = pow(int(r[j]), -1, p)
-            new_row = r * inv % p
-            if self.dimension:
-                col = self._basis[:, j].copy()
-                basis = (self._basis - np.outer(col, new_row)) % p
-            else:
-                basis = self._basis
-            pivots = list(self._pivots)
-            insert_at = 0
-            while insert_at < len(pivots) and pivots[insert_at] < j:
-                insert_at += 1
-            pivots.insert(insert_at, j)
-            basis = np.insert(basis, insert_at, new_row, axis=0)
-            basis.setflags(write=False)
-            return ColumnSpace(p, self.ambient, tuple(pivots), basis)
-        # big-prime backend
-        if not any(r):
+        nz = r.nonzero()[0]
+        if nz.size == 0:
             return self
-        j = next(i for i, v in enumerate(r) if v)
-        inv = pow(r[j], -1, p)
-        new_row = tuple(v * inv % p for v in r)
-        rows = []
-        for row in self._basis:
-            c = row[j]
-            if c:
-                rows.append(tuple((a - c * b) % p for a, b in zip(row, new_row)))
-            else:
-                rows.append(tuple(row))
-        pivots = list(self._pivots)
-        insert_at = 0
-        while insert_at < len(pivots) and pivots[insert_at] < j:
-            insert_at += 1
-        pivots.insert(insert_at, j)
-        rows.insert(insert_at, new_row)
-        return ColumnSpace(p, self.ambient, tuple(pivots), tuple(rows))
-
-
-# -- sparse annihilators -------------------------------------------------
-
-_SPARSE_ROW_LIMIT = 24
-
-
-def has_sparse_annihilator(m: ModMatrix, delta: Fraction | float) -> Optional[Tuple[int, ...]]:
-    """Search for nonzero w with w @ m = 0 and |supp(w)| <= delta * rows.
-
-    Supports are enumerated in increasing size (then lexicographically),
-    so the first witness found has minimal support.  Returns None when no
-    such vector exists.
-    """
-    if m.rows > _SPARSE_ROW_LIMIT:
-        raise ValueError(
-            f"support enumeration is limited to {_SPARSE_ROW_LIMIT} rows, got {m.rows}"
-        )
-    p = m.modulus
-    max_support = int(Fraction(delta) * m.rows)
-    rows = [m.row(i) for i in range(m.rows)]
-    for size in range(1, max_support + 1):
-        for support in itertools.combinations(range(m.rows), size):
-            sub = [rows[i] for i in support]
-            # dependency among the selected rows <=> kernel of the
-            # (cols x size) matrix whose columns are those rows
-            stacked = ModMatrix(
-                p, m.cols, size, tuple(sub[k][j] for j in range(m.cols) for k in range(size))
-            )
-            coeffs = kernel_vector(stacked)
-            if coeffs is not None:
-                w = [0] * m.rows
-                for idx, c in zip(support, coeffs):
-                    w[idx] = c % p
-                return tuple(w)
-    return None
+        j = int(nz[0])
+        new_row = r * pow(int(r[j]), -1, p) % p
+        basis = (self._basis - np.outer(self._basis[:, j], new_row)) % p
+        at = bisect.bisect(self._pivots, j)
+        basis = np.insert(basis, at, new_row, axis=0)
+        basis.setflags(write=False)
+        return ColumnSpace(p, self.ambient, self._pivots[:at] + (j,) + self._pivots[at:], basis)
 
 
 # -- subspace enumeration ------------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 from latsurj.certifier import (
     Certificate,
     is_surjective,
-    prime_divisors,
     surjective_mod_p,
     verify_certificate,
 )
 from latsurj.exact_linalg import IntMatrix, cokernel
-from latsurj.primes import FactorizationError, factorize, is_probable_prime
+from latsurj.primes import FactorizationError, factorize, is_probable_prime, prime_divisors
 
 from oracles import cokernel_brute_force
 
@@ -176,6 +175,25 @@ def test_large_prime_soundness():
         for p in (10**9 + 7, 10**9 + 9, 2**31 - 1):
             if cert.determinant % p != 0:
                 assert surjective_mod_p(m, p)
+
+
+def test_entries_beyond_int64():
+    # a unimodular row operation with a huge multiplier keeps every maximal
+    # minor and the cokernel, and pushes the entries past 2^63
+    rng = random.Random(43)
+    cases = [IntMatrix.from_rows([[2, 0, 0], [0, 2, 2]])]
+    cases += [random_matrix(rng, rows, rows + 1, -3, 3) for rows in (2, 2, 9, 9)]
+    reasons = []
+    for m in cases:
+        rows = m.to_rows()
+        rows[0] = [x + (2**64 + 13) * y for x, y in zip(rows[0], rows[1])]
+        big = IntMatrix.from_rows(rows)
+        assert big.max_abs() >= 2**64
+        cert = is_surjective(big)
+        assert verify_certificate(big, cert)
+        assert cert.is_surjective == cokernel(m).is_trivial
+        reasons.append(cert.reason)
+    assert reasons[0] == "mod_p"
 
 
 # -- certificate verification hardening -------------------------------------

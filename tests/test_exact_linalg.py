@@ -15,11 +15,10 @@ from latsurj.exact_linalg import (
     det_is_zero,
     det_mod_crt,
     format_matrix,
-    hadamard_bound,
     parse_matrix,
     smith_normal_form,
 )
-from latsurj.modp import rank_mod_p, reduce_mod
+from latsurj.modp import echelon, rank_mod_p
 
 from oracles import det_permutation_expansion
 
@@ -100,6 +99,30 @@ def test_det_agrees_with_permutation_expansion():
         assert det_bareiss(m) == reference
         assert det_mod_crt(m) == reference
         assert det_is_zero(m) == (reference == 0)
+        assert det_is_zero(m.to_array()) == (reference == 0)
+
+
+def test_det_crt_with_entries_beyond_int64():
+    rng = random.Random(17)
+    for n in (2, 9):
+        m = random_matrix(rng, n, n, -(2**64), 2**64)
+        assert m.to_array().dtype == object
+        assert det_mod_crt(m) == det_bareiss(m)
+        assert not det_is_zero(m)
+        singular = IntMatrix.from_rows(m.to_rows()[:-1] + [[2 * x for x in m.row(0)]])
+        assert det_is_zero(singular) and det_mod_crt(singular) == 0
+        negative = IntMatrix(n, n, tuple(-abs(x) for x in m.entries))
+        assert det_mod_crt(negative) == det_bareiss(negative)
+
+
+def test_det_is_zero_past_a_vanishing_residue():
+    # det = q vanishes modulo the first CRT prime q but not modulo the next
+    from latsurj.primes import crt_primes
+
+    q = crt_primes(1)[0]
+    m = IntMatrix.from_rows([[q, 1], [0, 1]])
+    assert not det_is_zero(m) and not det_is_zero(m.to_array())
+    assert det_mod_crt(m) == q
 
 
 def test_det_large_matrix_crt_path():
@@ -108,10 +131,7 @@ def test_det_large_matrix_crt_path():
     d = det(m)
     # spot-check the value against a residue the CRT never used
     p = 999999937
-    arr = np.array(m.to_rows(), dtype=np.int64)
-    import latsurj.exact_linalg as el
-
-    assert d % p == el._det_mod_word_prime(np.mod(arr, p), p)
+    assert d % p == echelon(m.to_array(), p)[2]
 
 
 @given(st.integers(1, 5), st.data())
@@ -128,22 +148,14 @@ def test_row_swap_negates_det(n, data):
     assert abs(det_bareiss(m.transpose())) == abs(det_bareiss(m))
 
 
-def test_hadamard_bound_values():
-    assert hadamard_bound(1, 1) == 1
-    assert hadamard_bound(4, 3) == 144
-    assert hadamard_bound(2, 1) == 2
-    # odd n rounds the square root up
-    assert hadamard_bound(3, 2) ** 2 >= 6**3
-    with pytest.raises(ValueError):
-        hadamard_bound(0, 1)
-
-
 def test_hadamard_bound_dominates_dets_at_unit_entries():
+    from latsurj.exact_linalg import _det_bound
+
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n, n, -1, 1)
-        assert abs(det_bareiss(m)) <= hadamard_bound(n, 1)
+        assert abs(det_bareiss(m)) <= _det_bound(n, 1)
 
 
 def test_det_bound_dominates_dets_at_any_entries():
@@ -279,5 +291,5 @@ def test_p_part_corank_matches_modp_elimination():
         m = random_matrix(rng, n, cols, -9, 9)
         for p in (2, 3, 5, 7):
             part = cokernel_p_part(m, p)
-            corank = n - rank_mod_p(reduce_mod(m, p))
+            corank = n - rank_mod_p(m.to_array(), p)
             assert part.corank_mod_p == corank

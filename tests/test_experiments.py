@@ -24,7 +24,7 @@ from latsurj.experiments import (
     run_experiment,
     wilson_interval,
 )
-from latsurj.modp import rank_of_array
+from latsurj.modp import rank_mod_p
 
 U01 = Distribution.uniform([0, 1])
 POINT0 = Distribution(((0, Fraction(1)),))
@@ -158,12 +158,12 @@ def _one_trial_at_a_time(cfg):
     for i in range(cfg.trials):
         a = sample_array(EnsembleSpec("iid_rect", cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
         if cfg.experiment == CORANK:
-            counts[f"corank={cfg.n - rank_of_array(a, cfg.p)}"] += 1
+            counts[f"corank={cfg.n - rank_mod_p(a, cfg.p)}"] += 1
         elif cfg.experiment == TRIVIAL:
-            full = all(rank_of_array(a, p) == cfg.n for p in cfg.primes)
+            full = all(rank_mod_p(a, p) == cfg.n for p in cfg.primes)
             counts["trivial_p_part" if full else "nontrivial_p_part"] += 1
         else:
-            counts["singular" if rank_of_array(a, cfg.p) < cfg.n else "nonsingular"] += 1
+            counts["singular" if rank_mod_p(a, cfg.p) < cfg.n else "nonsingular"] += 1
     return counts
 
 

@@ -454,7 +454,7 @@ def test_full_rank_frequency_bound():
     """Sampled n x (n-k) matrices over F_p have independent columns with
     frequency at least 1 - n(1-alpha)^k, up to 4 standard errors."""
     from latsurj.ensembles import Distribution, EnsembleSpec, derive_seed, sample_array
-    from latsurj.modp import rank_of_array
+    from latsurj.modp import rank_mod_p
 
     u01 = Distribution.uniform([0, 1])
     for p, n, k, trials in ((2, 20, 8, 300), (3, 15, 9, 300)):
@@ -465,7 +465,7 @@ def test_full_rank_frequency_bound():
             # n-k iid vectors in F_p^n, laid out as the rows of a wide draw
             spec = EnsembleSpec("iid_rect", n - k, u01, derive_seed(4242 + p, i), m=n)
             arr = sample_array(spec)
-            if rank_of_array(arr, p) == n - k:
+            if rank_mod_p(arr, p) == n - k:
                 hits += 1
         freq = hits / trials
         se = math.sqrt(max(bound * (1 - bound), 0.25 / trials) / trials)

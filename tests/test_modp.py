@@ -6,18 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latsurj.exact_linalg import IntMatrix
+from latsurj.certifier import surjective_mod_p
+from latsurj.exact_linalg import IntMatrix, cokernel_p_part, det_bareiss
 from latsurj.modp import (
     ColumnSpace,
-    ModMatrix,
-    has_sparse_annihilator,
+    echelon,
     iter_subspaces,
     kernel_vector,
     left_kernel_vector,
     rank_mod_p,
-    rank_of_array,
     ranks_mod_p,
-    reduce_mod,
     subspace_elements,
 )
 
@@ -30,21 +28,23 @@ from oracles import (
 
 
 def test_reduce_mod_examples():
-    assert reduce_mod(IntMatrix.from_rows([[2]]), 2).entries == (0,)
-    assert reduce_mod(IntMatrix.from_rows([[-1]]), 5).entries == (4,)
-    m = reduce_mod(IntMatrix.from_rows([[7, 10], [3, 4]]), 3)
-    assert m.row(0) == (1, 1) and m.row(1) == (0, 1)
+    # echelon reduces its own input to [0, p) and leaves the caller's array alone
+    a = np.array([[-1]])
+    assert echelon(a, 5)[0].tolist() == [[4]] and a.tolist() == [[-1]]
+    assert echelon([[2]], 2)[0].tolist() == [[0]]
+    assert echelon([[7, 10], [3, 4]], 3)[0].tolist() == [[1, 1], [0, 1]]
+    assert echelon([[2**70 + 3]], 5)[0].tolist() == [[(2**70 + 3) % 5]]
 
 
 def test_reduce_mod_rejects_composite():
     with pytest.raises(ValueError):
-        reduce_mod(IntMatrix.identity(2), 4)
+        surjective_mod_p(IntMatrix.identity(2), 4)
 
 
 def test_rank_examples():
-    assert rank_mod_p(reduce_mod(IntMatrix.identity(4), 2)) == 4
-    assert rank_mod_p(reduce_mod(IntMatrix.from_rows([[2]]), 2)) == 0
-    assert rank_mod_p(reduce_mod(IntMatrix.from_rows([[1, 2], [2, 4]]), 5)) == 1
+    assert rank_mod_p(np.eye(4, dtype=np.int64), 2) == 4
+    assert rank_mod_p([[2]], 2) == 0
+    assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
 
 
 def test_rank_bounds_and_rational_comparison():
@@ -58,17 +58,81 @@ def test_rank_bounds_and_rational_comparison():
         )
         _, rational_rank = _pivot_columns_exact(m)
         for p in (2, 3, 5):
-            r = rank_mod_p(reduce_mod(m, p))
+            r = rank_mod_p(m.to_array(), p)
             assert r <= min(rows, cols)
             assert r <= rational_rank
 
 
 def test_rank_big_prime_backend():
     p = (1 << 61) - 1  # Mersenne prime above the word-size cutoff
-    m = ModMatrix(p, 2, 2, (1, 2, 2, 4))
-    assert rank_mod_p(m) == 1
-    m = ModMatrix(p, 2, 2, (1, 0, 0, 1))
-    assert rank_mod_p(m) == 2
+    assert rank_mod_p([[1, 2], [2, 4]], p) == 1
+    assert rank_mod_p([[1, 0], [0, 1]], p) == 2
+    assert echelon([[1, 2], [2, 4]], p)[0].dtype == object
+
+
+# -- the elimination kernel at its edges -----------------------------------
+
+# the largest int64 path, the smallest object path, and a 61-bit prime
+EDGE_PRIMES = (2, 3, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+BIG_ENTRIES = (2**62, -(2**62), 2**62 + 1, 2**63 - 1, -(2**63), 2**63, 2**64 + 5, -(2**90) + 1)
+
+
+@st.composite
+def edge_matrices(draw):
+    """(rows, p): small shapes, entries from tiny to beyond 2^63, and
+    planted dependencies that hold only modulo p."""
+    p = draw(st.sampled_from(EDGE_PRIMES))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(BIG_ENTRIES), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    shift = draw(st.sampled_from([0, 1, 2**62, -(2**64)]))
+    plant = draw(st.sampled_from(["none", "row", "column"]))
+    if plant == "row" and n >= 2:
+        rows[-1] = [3 * x + p * shift for x in rows[0]]
+    if plant == "column" and m >= 2:
+        for row in rows:
+            row[-1] = row[0] - 2 * row[1 % (m - 1)] + p * shift
+    return rows, p
+
+
+def _rank_by_smith(rows, p):
+    m = IntMatrix.from_rows(rows)
+    return m.rows - cokernel_p_part(m, p).corank_mod_p
+
+
+@given(edge_matrices(), st.booleans())
+@example(([[2**62, 2**62 + 1], [2**63, -(2**63)]], 2**31 + 11), True)
+@example(([[2**31 - 1, 0], [0, 2**31 - 1]], 2**31 - 1), False)
+@example(([[1, 2, 3], [2, 4, 6]], 2**61 - 1), True)
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_independent_oracles(case, as_array):
+    rows, p = case
+    n, m = len(rows), len(rows[0])
+    a = IntMatrix.from_rows(rows).to_array() if as_array else rows
+    e, pivots, d = echelon(a, p)
+
+    assert e.dtype == (np.int64 if p < 2**31 else object)
+    assert len(pivots) == _rank_by_smith(rows, p)
+    # row echelon shape: row i starts at its pivot, rows past the rank are zero
+    for i in range(n):
+        lead = pivots[i] if i < len(pivots) else m
+        assert not e[i, :lead].any() and (lead == m or e[i, lead] != 0)
+    # greedy pivots: column j is a pivot iff it raises the rank of its prefix
+    prefix_ranks = [0] + [_rank_by_smith([row[: j + 1] for row in rows], p) for j in range(m)]
+    assert pivots == [j for j in range(m) if prefix_ranks[j + 1] > prefix_ranks[j]]
+    expected_det = det_bareiss(IntMatrix.from_rows(rows)) % p if n == m else 0
+    assert d == expected_det
+
+    x = kernel_vector(a, p)
+    assert (x is None) == (len(pivots) == m)
+    if x is not None:
+        assert any(x) and all(0 <= v < p for v in x)
+        assert all(sum(r * v for r, v in zip(row, x)) % p == 0 for row in rows)
+    w = left_kernel_vector(a, p)
+    assert (w is None) == (len(pivots) == n)
+    if w is not None:
+        assert any(w)
+        assert all(sum(w[i] * rows[i][j] for i in range(n)) % p == 0 for j in range(m))
 
 
 # -- batched ranks -------------------------------------------------------
@@ -104,27 +168,33 @@ def gf2_stacks(draw):
 @example(np.tile(np.arange(-2, 3), (2, 3, 13)))
 @settings(max_examples=120, deadline=None)
 def test_gf2_ranks_match_rank_of_array(stack):
-    assert ranks_mod_p(stack, 2).tolist() == [rank_of_array(a, 2) for a in stack]
+    # the bit-packed kernel against the generic one
+    assert ranks_mod_p(stack, 2).tolist() == [len(echelon(a, 2)[1]) for a in stack]
 
 
 def test_ranks_mod_p_other_primes():
     stack = np.random.default_rng(5).integers(-4, 5, size=(6, 4, 7))
     stack[0, 1] = 2 * stack[0, 0]
-    assert ranks_mod_p(stack, 3).tolist() == [rank_of_array(a, 3) for a in stack]
+    assert ranks_mod_p(stack, 3).tolist() == [rank_mod_p(a, 3) for a in stack]
     p = (1 << 61) - 1
-    expected = [rank_mod_p(ModMatrix(p, 4, 7, tuple(int(x) % p for x in a.ravel()))) for a in stack]
+    expected = [rank_mod_p(a.astype(object), p) for a in stack]
     assert ranks_mod_p(stack, p).tolist() == expected
 
 
 def test_kernel_vectors():
-    m = reduce_mod(IntMatrix.from_rows([[1, 2], [2, 4]]), 5)
-    v = kernel_vector(m)
+    m = [[1, 2], [2, 4]]
+    v = kernel_vector(m, 5)
     assert v is not None and any(v)
     assert (v[0] * 1 + v[1] * 2) % 5 == 0
-    assert kernel_vector(reduce_mod(IntMatrix.identity(3), 7)) is None
-    w = left_kernel_vector(m)
+    assert kernel_vector(np.eye(3, dtype=np.int64), 7) is None
+    w = left_kernel_vector(m, 5)
     assert w is not None
-    assert all(sum(wi * m.at(i, j) for i, wi in enumerate(w)) % 5 == 0 for j in range(2))
+    assert all(sum(wi * m[i][j] for i, wi in enumerate(w)) % 5 == 0 for j in range(2))
+    # long back-substitution sums of products near 2^62 must not wrap in int64
+    p = 2**31 - 1
+    a = np.random.default_rng(3).integers(0, p, size=(12, 13))
+    x = kernel_vector(a, p)
+    assert any(x) and not (a.astype(object) @ np.array(x, dtype=object) % p).any()
 
 
 # -- column spaces ---------------------------------------------------------
@@ -172,10 +242,20 @@ def test_extend_matches_rank(seed, p, n):
     rng = random.Random(seed)
     cols = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n + 2)]
     space = ColumnSpace.from_columns(p, cols, n)
-    m = IntMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
-    assert space.dimension == rank_mod_p(reduce_mod(m, p))
+    assert space.dimension == rank_mod_p(np.array(cols).T, p)
     for c in cols:
         assert space.contains(c)
+
+
+def test_column_space_near_int64_limit_keeps_its_columns():
+    # ambient * (p - 1)^2 passes 2^63 here, so products of residues summed
+    # over the basis would wrap around in int64
+    p = 2**31 - 1
+    rng = np.random.default_rng(0)
+    cols = rng.integers(-1, 2, size=(20, 30))
+    space = ColumnSpace.from_columns(p, cols.tolist(), 30)
+    assert all(space.contains(c) for c in cols.tolist())
+    assert space.dimension == rank_mod_p(cols.T, p) == 20
 
 
 def test_big_prime_column_space():
@@ -185,35 +265,6 @@ def test_big_prime_column_space():
     assert s.contains((5, 7, 9))
     assert not s.contains((0, 0, 1))
     assert s.extend((0, 0, 1)).dimension == 3
-
-
-# -- sparse annihilators -----------------------------------------------------
-
-
-def test_sparse_annihilator_identity_none():
-    m = reduce_mod(IntMatrix.identity(4), 2)
-    assert has_sparse_annihilator(m, Fraction(3, 4)) is None
-
-
-def test_sparse_annihilator_zero_row():
-    m = reduce_mod(IntMatrix.from_rows([[1, 1], [0, 0], [1, 0]]), 3)
-    w = has_sparse_annihilator(m, Fraction(1, 3))
-    assert w == (0, 1, 0)
-
-
-def test_sparse_annihilator_derived_example():
-    m = reduce_mod(IntMatrix.from_rows([[1, 1], [1, 1], [0, 1]]), 2)
-    w = has_sparse_annihilator(m, Fraction(2, 3))
-    assert w == (1, 1, 0)
-    # the witness really annihilates all columns
-    for j in range(m.cols):
-        assert sum(wi * m.at(i, j) for i, wi in enumerate(w)) % 2 == 0
-
-
-def test_sparse_annihilator_row_limit():
-    m = reduce_mod(IntMatrix.identity(30), 2)
-    with pytest.raises(ValueError):
-        has_sparse_annihilator(m, Fraction(1, 2))
 
 
 # -- subspace enumeration -----------------------------------------------------
