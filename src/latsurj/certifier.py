@@ -14,11 +14,14 @@ re-checked from scratch with :func:`verify_certificate`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import primes as _primes
-from .exact_linalg import IntMatrix, cokernel, det
+from .exact_linalg import IntMatrix, bareiss, cokernel, det
 from .modp import echelon, left_kernel_vector, rank_mod_p
 
 SURJECTIVE = "surjective"
@@ -95,43 +98,15 @@ def surjective_mod_p(m: IntMatrix, p: int) -> bool:
         raise ValueError("need at least as many columns as rows")
     if not _primes.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    return rank_mod_p(m.to_array(), p) == m.rows
+    return rank_mod_p(m.array, p) == m.rows
 
 
-def _pivot_columns_exact(m: IntMatrix) -> Tuple[List[int], int]:
-    """Greedy pivot columns over the rationals by fraction-free elimination.
-
-    Returns (pivot column list, rational rank).  Exact but slower; used
-    when the fast modular pass cannot certify full rank.
-    """
-    a = m.to_rows()
-    n, cols = m.rows, m.cols
-    pivots: List[int] = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, n):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, n):
-            aic = a[i][c]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return pivots, r
+def _minor(m: IntMatrix, columns) -> int:
+    """Determinant of the square submatrix of M on the given columns."""
+    idx = [operator.index(j) for j in columns]
+    if any(j < 0 or j >= m.cols for j in idx):
+        raise IndexError("column index out of range")
+    return det(IntMatrix.from_array(m.array[:, idx]))
 
 
 def is_surjective(m: IntMatrix) -> Certificate:
@@ -143,30 +118,29 @@ def is_surjective(m: IntMatrix) -> Certificate:
 
     # Full rank modulo the fixed pivot prime already proves full rational
     # rank; only a deficient result needs the exact pass.
-    a = m.to_array()
+    a = m.array
     pivots = echelon(a, _PIVOT_PRIME)[1]
     if len(pivots) < m.rows:
-        pivots, rank = _pivot_columns_exact(m)
-        if rank < m.rows:
+        pivots = bareiss(m)[0]
+        if len(pivots) < m.rows:
             return Certificate(
                 verdict=NOT_SURJECTIVE,
                 method=METHOD_PRIME_REDUCTION,
                 reason="rank_deficient",
-                rational_rank=rank,
+                rational_rank=len(pivots),
             )
 
     columns = tuple(pivots)
-    d1 = det(m.take_columns(columns))
+    d1 = _minor(m, columns)
     if d1 == 0:
         # cannot happen off the exact path; guard against it anyway
         raise RuntimeError("pivot submatrix unexpectedly singular")
 
     columns_alt: Optional[Tuple[int, ...]] = None
     d2: Optional[int] = None
-    non_pivots = [j for j in range(m.cols) if j not in set(pivots)]
-    for j in non_pivots:
+    for j in sorted(set(range(m.cols)) - set(pivots)):
         candidate = tuple(sorted(pivots[:-1] + [j]))
-        dc = det(m.take_columns(candidate))
+        dc = _minor(m, candidate)
         if dc != 0:
             columns_alt, d2 = candidate, dc
             break
@@ -251,7 +225,7 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
         if cert.reason == "rank_deficient":
             if cert.rational_rank is None:
                 return False
-            _, rank = _pivot_columns_exact(m)
+            rank = len(bareiss(m)[0])
             return rank == cert.rational_rank and rank < m.rows
         if cert.reason == "mod_p":
             p, w = cert.prime, cert.annihilator
@@ -259,12 +233,9 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
                 return False
             if len(w) != m.rows or all(x % p == 0 for x in w):
                 return False
-            # w must annihilate every column of M mod p
-            for j in range(m.cols):
-                col = m.column(j)
-                if sum(wi * ci for wi, ci in zip(w, col)) % p != 0:
-                    return False
-            return True
+            # w must annihilate every column of M mod p; the object dtype of
+            # w makes the product exact on either dtype of M
+            return not (np.array(w, dtype=object) @ m.array % p).any()
         return False
 
     # surjective via prime reduction
@@ -272,13 +243,13 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
         return False
     if len(cert.columns) != m.rows or len(set(cert.columns)) != m.rows:
         return False
-    d1 = det(m.take_columns(cert.columns))
+    d1 = _minor(m, cert.columns)
     if d1 != cert.determinant or d1 == 0:
         return False
     if cert.columns_alt is not None:
         if cert.determinant_alt is None or len(cert.columns_alt) != m.rows:
             return False
-        d2 = det(m.take_columns(cert.columns_alt))
+        d2 = _minor(m, cert.columns_alt)
         if d2 != cert.determinant_alt or d2 == 0:
             return False
         expected_gcd = math.gcd(abs(d1), abs(d2))
@@ -299,10 +270,9 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
     checked = dict(cert.prime_checks or ())
     if set(checked) != set(factorization):
         return False
-    a = m.to_array()
     for p in factorization:
         if not checked[p]:
             return False
-        if rank_mod_p(a, p) != m.rows:
+        if rank_mod_p(m.array, p) != m.rows:
             return False
     return True

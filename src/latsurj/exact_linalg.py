@@ -1,15 +1,17 @@
 """Arbitrary-precision integer matrix algebra.
 
-Provides the immutable :class:`IntMatrix`, exact determinants (fraction-free
-elimination, and a CRT fast path that runs :func:`latsurj.modp.echelon`
-modulo word-size primes until their product passes twice the Hadamard
-bound), Smith normal form with unimodular transforms, and cokernel
-structure extraction.
+Provides the immutable :class:`IntMatrix` over one read-only ndarray,
+fraction-free (Bareiss) elimination for the rational rank, pivot columns
+and small determinants, a CRT determinant that runs
+:func:`latsurj.modp.echelon` modulo word-size primes until their product
+passes twice the Hadamard bound, Smith normal form with unimodular
+transforms, and cokernel structure extraction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -19,23 +21,42 @@ from . import primes as _primes
 from .modp import echelon, int_array
 
 
-@dataclass(frozen=True)
+def _integer_array(entries) -> np.ndarray:
+    """A fresh array of entries: int64 when every entry fits, else an
+    object array of Python ints.  Anything but integers is a ValueError."""
+    a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64)
+    if a.dtype.kind not in "uO":
+        raise ValueError("matrix entries must be integers")
+    try:
+        # operator.index takes ints, bools and numpy integers, and no floats
+        return int_array([operator.index(x) for x in a.flat])
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
+
+
 class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers, row-major."""
+    """Immutable dense integer matrix over one read-only 2-d ndarray.
 
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
+    `array` is int64 when every entry fits and an object array of Python
+    ints otherwise; equal matrices therefore share a dtype.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    __slots__ = ("array",)
+
+    def __init__(self, rows: int, cols: int, entries) -> None:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        a = _integer_array(entries)
+        if a.size != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {a.size}")
+        a = a.reshape(rows, cols)
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("IntMatrix is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -47,73 +68,42 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(n, n, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "IntMatrix":
         if a.ndim != 2:
             raise ValueError("need a 2-d array")
-        return cls(a.shape[0], a.shape[1], tuple(int(x) for x in a.ravel()))
+        return cls(a.shape[0], a.shape[1], a)
 
-    # -- accessors ----------------------------------------------------
+    # -- value semantics ----------------------------------------------
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.array.shape == other.array.shape and bool((self.array == other.array).all())
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    def __hash__(self) -> int:
+        return hash((self.array.shape, tuple(self.array.ravel().tolist())))
 
-    def column(self, j: int) -> Tuple[int, ...]:
-        return self.entries[j :: self.cols]
-
-    def to_rows(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def to_array(self) -> np.ndarray:
-        """Entries as a 2-d array: int64 when they all fit, else Python ints."""
-        return int_array(self.entries).reshape(self.rows, self.cols)
-
-    def max_abs(self) -> int:
-        return max(abs(x) for x in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        idx = list(indices)
-        if any(j < 0 or j >= self.cols for j in idx):
-            raise IndexError("column index out of range")
-        return IntMatrix(
-            self.rows,
-            len(idx),
-            tuple(self.at(i, j) for i in range(self.rows) for j in idx),
-        )
-
-    def append_columns(self, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
-        if any(len(c) != self.rows for c in cols):
-            raise ValueError("column length must equal row count")
-        new = []
-        for i in range(self.rows):
-            new.extend(self.row(i))
-            new.extend(c[i] for c in cols)
-        return IntMatrix(self.rows, self.cols + len(cols), tuple(new))
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows}, {self.cols}, {self.array.ravel().tolist()})"
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -125,7 +115,7 @@ class IntMatrix:
 
 def format_matrix(m: IntMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(str(x) for x in m.row(i)) for i in range(m.rows))
+    lines.extend(" ".join(map(str, row)) for row in m.array.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -137,7 +127,7 @@ def parse_matrix(text: str) -> IntMatrix:
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    return IntMatrix(rows, cols, tuple(int(t) for t in body))
+    return IntMatrix(rows, cols, int_array([int(t) for t in body]))
 
 
 # -- determinants ------------------------------------------------------
@@ -154,33 +144,48 @@ def _det_bound(n: int, k0: int) -> int:
     return k0**n * s
 
 
+def bareiss(m: IntMatrix) -> Tuple[List[int], int]:
+    """Fraction-free (Bareiss) elimination over the integers.
+
+    Returns (pivots, det): the greedy pivot columns over Q, so that
+    len(pivots) is the rational rank, and the determinant when m is
+    square (0 when it is singular or not square).
+    """
+    a = m.array.tolist()
+    n, cols = m.rows, m.cols
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        pivot_row = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, n):
+            row_i = a[i]
+            aic = row_i[c]
+            for j in range(c + 1, cols):
+                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        pivots.append(c)
+    # a square matrix of full rank pivots on every column; its last pivot
+    # is then the determinant up to the sign of the row swaps
+    return pivots, sign * prev if len(pivots) == cols == n else 0
+
+
 def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    return bareiss(m)[1]
 
 
 def _det_residues(a: np.ndarray) -> Iterator[Tuple[int, int]]:
@@ -203,7 +208,7 @@ def _det_residues(a: np.ndarray) -> Iterator[Tuple[int, int]]:
 def det_mod_crt(m: IntMatrix) -> int:
     """Exact determinant via CRT over word-size primes."""
     residue, modulus = 0, 1
-    for p, r in _det_residues(m.to_array()):
+    for p, r in _det_residues(m.array):
         # lift: x = residue (mod modulus), x = r (mod p)
         residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
@@ -225,7 +230,7 @@ def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
     Stops at the first nonzero modular residue; only a genuinely singular
     matrix pays for the full CRT prime set.
     """
-    a = m.to_array() if isinstance(m, IntMatrix) else np.asarray(m)
+    a = m.array if isinstance(m, IntMatrix) else np.asarray(m)
     return not any(r for _, r in _det_residues(a))
 
 
@@ -241,8 +246,7 @@ class SnfDecomposition:
     right: IntMatrix
 
     def diagonal(self) -> Tuple[int, ...]:
-        n = min(self.diag.rows, self.diag.cols)
-        return tuple(self.diag.at(i, i) for i in range(n))
+        return tuple(self.diag.array.diagonal().tolist())
 
 
 def _min_abs_pivot(a: List[List[int]], t: int, n: int, m: int):
@@ -330,7 +334,7 @@ def _snf_inplace(a: List[List[int]], u: List[List[int]] | None, v: List[List[int
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with unimodular transforms."""
-    a = m.to_rows()
+    a = m.array.tolist()
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
     _snf_inplace(a, u, v)
@@ -341,7 +345,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """Just the diagonal of the Smith form (no transforms; cheaper)."""
-    a = m.to_rows()
+    a = m.array.tolist()
     _snf_inplace(a, None, None)
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 

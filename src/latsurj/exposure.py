@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import primes as _primes
 from .ensembles import Distribution, _generator, alpha_min, sample_columns
 from .exact_linalg import IntMatrix, det, smith_diagonal
-from .modp import ColumnSpace
+from .modp import ColumnSpace, int_array
 
 DIVISORS_OF_DET = "divisors_of_det"
 EXPLICIT = "explicit"
@@ -155,9 +157,8 @@ def run_exposure(
     else:
         raise ValueError(f"unknown prime source {prime_source!r}")
 
-    m0_columns = [m0.column(j) for j in range(n)]
     spaces: Dict[int, ColumnSpace] = {
-        p: ColumnSpace.from_columns(p, m0_columns, n) for p in tracked
+        p: ColumnSpace.from_columns(p, m0.array.T, n) for p in tracked
     }
     coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}
     trajectories: Dict[int, List[int]] = {p: [coranks[p]] for p in tracked}
@@ -188,7 +189,9 @@ def run_exposure(
         for p in tracked:
             trajectories[p].append(coranks[p])
 
-    final = m0.append_columns(extra_columns) if extra_columns else m0
+    final = m0
+    if extra_columns:
+        final = IntMatrix.from_array(np.hstack([m0.array, int_array(extra_columns).T]))
     return ExposureTrace(
         primes=tracked,
         trajectories={p: tuple(t) for p, t in trajectories.items()},

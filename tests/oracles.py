@@ -18,6 +18,7 @@ from latsurj.modp import iter_subspaces, subspace_elements
 def det_permutation_expansion(m: IntMatrix) -> int:
     """Sum over permutations of signed products; exact but O(n!)."""
     n = m.rows
+    rows = m.array.tolist()
     total = 0
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -27,7 +28,7 @@ def det_permutation_expansion(m: IntMatrix) -> int:
                     sign = -sign
         prod = sign
         for i in range(n):
-            prod *= m.at(i, perm[i])
+            prod *= rows[i][perm[i]]
             if prod == 0:
                 break
         total += prod
@@ -45,9 +46,10 @@ def cokernel_brute_force(m: IntMatrix) -> bool:
 
     if m.cols < m.rows:
         return False
+    rows = m.array.tolist()
     g = 0
     for cols in itertools.combinations(range(m.cols), m.rows):
-        g = math.gcd(g, det_bareiss(m.take_columns(cols)))
+        g = math.gcd(g, det_bareiss(IntMatrix.from_rows([[row[j] for j in cols] for row in rows])))
         if g == 1:
             return True
     return False

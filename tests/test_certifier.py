@@ -1,7 +1,12 @@
+import json
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latsurj.certifier import (
     Certificate,
@@ -9,7 +14,16 @@ from latsurj.certifier import (
     surjective_mod_p,
     verify_certificate,
 )
-from latsurj.exact_linalg import IntMatrix, cokernel
+from latsurj.exact_linalg import (
+    IntMatrix,
+    bareiss,
+    cokernel,
+    det,
+    det_mod_crt,
+    format_matrix,
+    parse_matrix,
+    smith_diagonal,
+)
 from latsurj.primes import FactorizationError, factorize, is_probable_prime, prime_divisors
 
 from oracles import cokernel_brute_force
@@ -160,7 +174,7 @@ def test_monotonicity_appending_columns():
         cols = rng.randint(rows, rows + 2)
         m = random_matrix(rng, rows, cols)
         if is_surjective(m).is_surjective:
-            extended = m.append_columns([[rng.randint(-9, 9) for _ in range(rows)]])
+            extended = IntMatrix.from_rows([row + [rng.randint(-9, 9)] for row in m.array.tolist()])
             assert is_surjective(extended).is_surjective
 
 
@@ -185,15 +199,71 @@ def test_entries_beyond_int64():
     cases += [random_matrix(rng, rows, rows + 1, -3, 3) for rows in (2, 2, 9, 9)]
     reasons = []
     for m in cases:
-        rows = m.to_rows()
+        rows = m.array.tolist()
         rows[0] = [x + (2**64 + 13) * y for x, y in zip(rows[0], rows[1])]
         big = IntMatrix.from_rows(rows)
-        assert big.max_abs() >= 2**64
+        assert big.array.dtype == object and max(abs(x) for x in big.array.flat) >= 2**64
         cert = is_surjective(big)
         assert verify_certificate(big, cert)
         assert cert.is_surjective == cokernel(m).is_trivial
         reasons.append(cert.reason)
     assert reasons[0] == "mod_p"
+
+
+# entries on both sides of the int64 limits, and well past them
+INT64_EDGES = (2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**62, -(2**62), 2**70)
+
+
+@st.composite
+def boundary_matrices(draw):
+    """(rows, columns): a rows x cols matrix of small and int64-edge entries,
+    its first row scaled by 1, 2 or 3, and `rows` sorted column indices."""
+    r = draw(st.integers(1, 3))
+    c = draw(st.integers(r, r + 2))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(INT64_EDGES))
+    body = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    scale = draw(st.sampled_from([1, 2, 3]))
+    body[0] = [scale * x for x in body[0]]
+    columns = sorted(draw(st.permutations(range(c)))[:r])
+    return body, columns
+
+
+@given(boundary_matrices())
+@example(([[2**63 - 1, -(2**63)], [1, 2]], [0, 1]))
+@example(([[2**63, 1, 0], [2**70, 0, 2]], [0, 2]))
+@example(([[2 * (2**62), 2], [-(2**62), 3]], [0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_int64_boundary_entries(case):
+    rows, columns = case
+    text = f"{len(rows)} {len(rows[0])}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    m = parse_matrix(text)
+    assert format_matrix(m) == text
+    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
+    assert m.array.dtype == (np.int64 if fits else object)
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 0
+
+    # the minor on the chosen columns, against the Smith form of the same
+    # columns picked out of the Python rows
+    minor = IntMatrix.from_array(m.array[:, columns])
+    picked = IntMatrix.from_rows([[row[j] for j in columns] for row in rows])
+    assert minor == picked
+    d = det(minor)
+    assert d == det_mod_crt(minor)
+    assert abs(d) == math.prod(smith_diagonal(picked))
+    pivots, d_all = bareiss(m)
+    assert len(pivots) == m.rows - cokernel(m).free_rank
+    assert d_all == (det_mod_crt(m) if m.is_square else 0)
+
+    cert = is_surjective(m)
+    assert cert.is_surjective == cokernel(m).is_trivial
+    assert verify_certificate(m, cert)
+    doc = cert.to_dict()
+    json.dumps(doc)
+    for key in ("columns", "columns_alt", "annihilator"):
+        assert all(type(x) is int for x in doc.get(key, ()))
+    for key in ("determinant", "determinant_alt", "gcd_value", "prime", "rational_rank"):
+        assert type(doc.get(key, 0)) is int
 
 
 # -- certificate verification hardening -------------------------------------
@@ -214,6 +284,9 @@ def test_tampered_certificates_rejected():
     assert not verify_certificate(m, bad)
     # wrong gcd
     bad = replace(cert, gcd_value=cert.gcd_value * 3)
+    assert not verify_certificate(m, bad)
+    # the same columns counted from the end are not column indices
+    bad = replace(cert, columns=tuple(j - m.cols for j in cert.columns))
     assert not verify_certificate(m, bad)
 
 

@@ -132,7 +132,7 @@ def test_literal_round_trip():
 
 def test_point_mass_sampling():
     spec = EnsembleSpec("iid_rect", 2, Distribution(((1, Fraction(1)),)), 9, m=2)
-    assert sample_matrix(spec).entries == (1, 1, 1, 1)
+    assert sample_matrix(spec).array.tolist() == [[1, 1], [1, 1]]
 
 
 def test_sampler_determinism():

@@ -43,6 +43,44 @@ def test_matrix_is_immutable_value():
     assert hash(m) == hash(IntMatrix(2, 2, (1, 2, 3, 4)))
     with pytest.raises(AttributeError):
         m.rows = 3
+    # shapes that broadcast against each other still differ
+    assert IntMatrix(1, 2, (1, 1)) != IntMatrix(2, 1, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix.from_rows([[1.5, 2], [3, 4.9]]),
+        lambda: IntMatrix.from_rows([[1.0, 2], [3, 4]]),
+        lambda: IntMatrix(1, 1, (1.5,)),
+        lambda: IntMatrix(2, 2, ("1", "2", "3", "4")),
+        lambda: IntMatrix(1, 2, (2**70, 0.5)),
+        lambda: IntMatrix.from_array(np.array([[1.0, 2.0]])),
+        lambda: IntMatrix.from_array(np.array([["1", "2"]])),
+        lambda: IntMatrix.from_array(np.array([[1, None]], dtype=object)),
+        lambda: parse_matrix("1 2\n1.5 2\n"),
+    ],
+)
+def test_non_integer_entries_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_integer_entries_pick_int64_or_python_ints():
+    # numpy alone would store -1 and 2^63 together as float64
+    wide = IntMatrix(1, 2, (-1, 2**63))
+    assert wide.array.dtype == object and wide.array.tolist() == [[-1, 2**63]]
+    assert all(type(x) is int for x in wide.array.flat)
+    assert IntMatrix.from_array(np.array([[2**63]], dtype=np.uint64)).array.dtype == object
+    small = IntMatrix.from_array(np.array([[np.int64(1), 2]], dtype=object))
+    assert small.array.dtype == np.int64 and small == IntMatrix(1, 2, (1, 2))
+    mixed = IntMatrix(1, 2, (np.int64(-5), 2**70))
+    assert [type(x) for x in mixed.array.flat] == [int, int]
+    # the matrix owns its array: the caller's stays writable and apart
+    source = np.array([[1, 2]])
+    m = IntMatrix.from_array(source)
+    source[0, 0] = 5
+    assert m == IntMatrix(1, 2, (1, 2))
 
 
 def test_text_format_round_trip():
@@ -99,19 +137,20 @@ def test_det_agrees_with_permutation_expansion():
         assert det_bareiss(m) == reference
         assert det_mod_crt(m) == reference
         assert det_is_zero(m) == (reference == 0)
-        assert det_is_zero(m.to_array()) == (reference == 0)
+        assert det_is_zero(m.array) == (reference == 0)
 
 
 def test_det_crt_with_entries_beyond_int64():
     rng = random.Random(17)
     for n in (2, 9):
         m = random_matrix(rng, n, n, -(2**64), 2**64)
-        assert m.to_array().dtype == object
+        assert m.array.dtype == object
         assert det_mod_crt(m) == det_bareiss(m)
         assert not det_is_zero(m)
-        singular = IntMatrix.from_rows(m.to_rows()[:-1] + [[2 * x for x in m.row(0)]])
+        rows = m.array.tolist()
+        singular = IntMatrix.from_rows(rows[:-1] + [[2 * x for x in rows[0]]])
         assert det_is_zero(singular) and det_mod_crt(singular) == 0
-        negative = IntMatrix(n, n, tuple(-abs(x) for x in m.entries))
+        negative = IntMatrix(n, n, [-abs(x) for x in m.array.flat])
         assert det_mod_crt(negative) == det_bareiss(negative)
 
 
@@ -121,7 +160,7 @@ def test_det_is_zero_past_a_vanishing_residue():
 
     q = crt_primes(1)[0]
     m = IntMatrix.from_rows([[q, 1], [0, 1]])
-    assert not det_is_zero(m) and not det_is_zero(m.to_array())
+    assert not det_is_zero(m) and not det_is_zero(m.array)
     assert det_mod_crt(m) == q
 
 
@@ -131,7 +170,7 @@ def test_det_large_matrix_crt_path():
     d = det(m)
     # spot-check the value against a residue the CRT never used
     p = 999999937
-    assert d % p == echelon(m.to_array(), p)[2]
+    assert d % p == echelon(m.array, p)[2]
 
 
 @given(st.integers(1, 5), st.data())
@@ -145,7 +184,7 @@ def test_row_swap_negates_det(n, data):
         swapped = list(rows)
         swapped[0], swapped[1] = swapped[1], swapped[0]
         assert det_bareiss(IntMatrix.from_rows(swapped)) == -det_bareiss(m)
-    assert abs(det_bareiss(m.transpose())) == abs(det_bareiss(m))
+    assert abs(det_bareiss(IntMatrix.from_array(m.array.T))) == abs(det_bareiss(m))
 
 
 def test_hadamard_bound_dominates_dets_at_unit_entries():
@@ -174,10 +213,10 @@ def test_det_bound_dominates_dets_at_any_entries():
 
 def snf_invariants(m):
     dec = smith_normal_form(m)
-    left = np.array(dec.left.to_rows(), dtype=object)
-    right = np.array(dec.right.to_rows(), dtype=object)
-    mat = np.array(m.to_rows(), dtype=object)
-    assert (left @ mat @ right == np.array(dec.diag.to_rows(), dtype=object)).all()
+    left = dec.left.array.astype(object)
+    right = dec.right.array.astype(object)
+    mat = m.array.astype(object)
+    assert (left @ mat @ right == dec.diag.array).all()
     assert abs(det(dec.left)) == 1
     assert abs(det(dec.right)) == 1
     diag = dec.diagonal()
@@ -189,7 +228,7 @@ def snf_invariants(m):
     for i in range(dec.diag.rows):
         for j in range(dec.diag.cols):
             if i != j:
-                assert dec.diag.at(i, j) == 0
+                assert dec.diag.array[i, j] == 0
     return dec
 
 
@@ -291,5 +330,5 @@ def test_p_part_corank_matches_modp_elimination():
         m = random_matrix(rng, n, cols, -9, 9)
         for p in (2, 3, 5, 7):
             part = cokernel_p_part(m, p)
-            corank = n - rank_mod_p(m.to_array(), p)
+            corank = n - rank_mod_p(m.array, p)
             assert part.corank_mod_p == corank
