@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import primes as _primes
-from .exact_linalg import IntMatrix, bareiss, cokernel, det
+from .exact_linalg import IntMatrix, bareiss, cokernel, dets_mod_crt
 from .modp import echelon, left_kernel_vector, rank_mod_p
 
 SURJECTIVE = "surjective"
@@ -101,12 +101,13 @@ def surjective_mod_p(m: IntMatrix, p: int) -> bool:
     return rank_mod_p(m.array, p) == m.rows
 
 
-def _minor(m: IntMatrix, columns) -> int:
-    """Determinant of the square submatrix of M on the given columns."""
-    idx = [operator.index(j) for j in columns]
-    if any(j < 0 or j >= m.cols for j in idx):
+def _minors(m: IntMatrix, *column_sets) -> List[int]:
+    """Determinants of the square submatrices of M on the given column
+    sets, all in one stacked CRT elimination."""
+    sets = [[operator.index(j) for j in columns] for columns in column_sets]
+    if any(j < 0 or j >= m.cols for idx in sets for j in idx):
         raise IndexError("column index out of range")
-    return det(IntMatrix.from_array(m.array[:, idx]))
+    return dets_mod_crt([m.array[:, idx] for idx in sets])
 
 
 def is_surjective(m: IntMatrix) -> Certificate:
@@ -130,17 +131,19 @@ def is_surjective(m: IntMatrix) -> Certificate:
                 rational_rank=len(pivots),
             )
 
+    # d1 and the first candidate minor are one stacked call; later
+    # candidates run one at a time, only while the earlier ones are singular
     columns = tuple(pivots)
-    d1 = _minor(m, columns)
+    candidates = [tuple(sorted(pivots[:-1] + [j])) for j in sorted(set(range(m.cols)) - set(pivots))]
+    d1, *first = _minors(m, columns, *candidates[:1])
     if d1 == 0:
         # cannot happen off the exact path; guard against it anyway
         raise RuntimeError("pivot submatrix unexpectedly singular")
 
     columns_alt: Optional[Tuple[int, ...]] = None
     d2: Optional[int] = None
-    for j in sorted(set(range(m.cols)) - set(pivots)):
-        candidate = tuple(sorted(pivots[:-1] + [j]))
-        dc = _minor(m, candidate)
+    for candidate in candidates:
+        dc = first.pop() if first else _minors(m, candidate)[0]
         if dc != 0:
             columns_alt, d2 = candidate, dc
             break
@@ -243,16 +246,18 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
         return False
     if len(cert.columns) != m.rows or len(set(cert.columns)) != m.rows:
         return False
-    d1 = _minor(m, cert.columns)
-    if d1 != cert.determinant or d1 == 0:
-        return False
+    column_sets = [cert.columns]
     if cert.columns_alt is not None:
         if cert.determinant_alt is None or len(cert.columns_alt) != m.rows:
             return False
-        d2 = _minor(m, cert.columns_alt)
-        if d2 != cert.determinant_alt or d2 == 0:
+        column_sets.append(cert.columns_alt)
+    d1, *alt = _minors(m, *column_sets)
+    if d1 != cert.determinant or d1 == 0:
+        return False
+    if alt:
+        if alt[0] != cert.determinant_alt or alt[0] == 0:
             return False
-        expected_gcd = math.gcd(abs(d1), abs(d2))
+        expected_gcd = math.gcd(abs(d1), abs(alt[0]))
     else:
         expected_gcd = abs(d1)
     if cert.gcd_value != expected_gcd:

@@ -2,38 +2,22 @@
 
 Provides the immutable :class:`IntMatrix` over one read-only ndarray,
 fraction-free (Bareiss) elimination for the rational rank, pivot columns
-and small determinants, a CRT determinant that runs
-:func:`latsurj.modp.echelon` modulo word-size primes until their product
-passes twice the Hadamard bound, Smith normal form with unimodular
-transforms, and cokernel structure extraction.
+and small determinants, CRT determinants whose primes (enough for their
+product to pass twice the row-norm Hadamard bound) are eliminated
+together as one stack by :func:`latsurj.modp.dets`, Smith normal form
+with unimodular transforms, and cokernel structure extraction.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import primes as _primes
-from .modp import echelon, int_array
-
-
-def _integer_array(entries) -> np.ndarray:
-    """A fresh array of entries: int64 when every entry fits, else an
-    object array of Python ints.  Anything but integers is a ValueError."""
-    a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
-    if a.dtype.kind in "bi":
-        return a.astype(np.int64)
-    if a.dtype.kind not in "uO":
-        raise ValueError("matrix entries must be integers")
-    try:
-        # operator.index takes ints, bools and numpy integers, and no floats
-        return int_array([operator.index(x) for x in a.flat])
-    except TypeError:
-        raise ValueError("matrix entries must be integers") from None
+from .modp import dets, int_array
 
 
 class IntMatrix:
@@ -48,7 +32,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        a = _integer_array(entries)
+        a = np.array(int_array(entries))  # a copy: no caller keeps a writable view
         if a.size != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {a.size}")
         a = a.reshape(rows, cols)
@@ -133,15 +117,18 @@ def parse_matrix(text: str) -> IntMatrix:
 # -- determinants ------------------------------------------------------
 
 
-def _det_bound(n: int, k0: int) -> int:
-    """True Hadamard bound k0^n * n^(n/2) >= |det| for |entries| <= k0."""
-    if n % 2 == 0:
-        return k0**n * n ** (n // 2)
-    power = n**n
-    s = math.isqrt(power)
-    if s * s < power:
-        s += 1
-    return k0**n * s
+def _det_bound(a: np.ndarray) -> int:
+    """Row-norm Hadamard bound: the least integer >= prod_i ||a_i||_2 >= |det a|.
+
+    Exact in Python ints, so entries near 2^63 cannot wrap.  It never
+    exceeds k0^n * n^(n/2) for entries bounded by k0 in absolute value.
+    """
+    k0 = max(int(a.max()), -int(a.min()))
+    if a.dtype == object or a.shape[1] * k0 * k0 >= 2**63:
+        a = a.astype(object)
+    square = math.prod((a * a).sum(axis=1).tolist())
+    root = math.isqrt(square)
+    return root if root * root == square else root + 1
 
 
 def bareiss(m: IntMatrix) -> Tuple[List[int], int]:
@@ -188,31 +175,69 @@ def det_bareiss(m: IntMatrix) -> int:
     return bareiss(m)[1]
 
 
-def _det_residues(a: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """(p, det(a) mod p) over word-size CRT primes, lazily.
+# bytes of one int64 stack handed to modp.dets, the cap of the odd-p rank
+# chunks too; more primes than fit go in several stacks
+_STACK_BYTES = 1 << 24
 
-    The primes stop once their product exceeds twice the Hadamard bound
-    for a's actual maximum entry, which pins the signed determinant.
-    """
+
+def _square(a) -> np.ndarray:
+    a = int_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("determinant requires a square matrix")
-    bound = 2 * _det_bound(a.shape[0], max(1, int(a.max()), -int(a.min())))
+    return a
+
+
+def _crt_primes(a: np.ndarray) -> List[int]:
+    """The fewest CRT primes whose product passes twice the Hadamard bound
+    of a, which pins the signed determinant."""
+    bound = 2 * _det_bound(a)
+    chosen = _primes.crt_primes(bound.bit_length() // 29 + 1)
     modulus = 1
-    for p in _primes.crt_primes(bound.bit_length() // 29 + 1):
-        yield p, echelon(a, p)[2]
+    for count, p in enumerate(chosen, 1):
         modulus *= p
         if modulus > bound:
-            return
+            return chosen[:count]
+    return chosen
+
+
+def _stacked_dets(arrays: Sequence[np.ndarray], pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """det(arrays[i]) mod p for each (i, p) of pairs, as stacks of at most
+    _STACK_BYTES that modp.dets eliminates at once."""
+    size = max(1, _STACK_BYTES // (8 * arrays[0].size)) if pairs else 1
+    out: List[int] = []
+    for s in range(0, len(pairs), size):
+        chunk = pairs[s : s + size]
+        stack = np.stack([arrays[i] for i, _ in chunk])
+        out += dets(stack, [p for _, p in chunk]).tolist()
+    return out
+
+
+def dets_mod_crt(arrays: Sequence) -> List[int]:
+    """Exact determinants of square integer arrays of one size, via CRT.
+
+    Every CRT prime of every array is one slice of the same stacked
+    elimination.
+    """
+    arrays = [_square(a) for a in arrays]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError("stacked determinants need arrays of one size")
+    plans = [_crt_primes(a) for a in arrays]
+    residues = iter(_stacked_dets(arrays, [(i, p) for i, ps in enumerate(plans) for p in ps]))
+    return [_lift(ps, [next(residues) for _ in ps]) for ps in plans]
+
+
+def _lift(primes: Sequence[int], residues: Sequence[int]) -> int:
+    """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t]."""
+    x, modulus = 0, 1
+    for p, r in zip(primes, residues):
+        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return x - modulus if x > modulus // 2 else x
 
 
 def det_mod_crt(m: IntMatrix) -> int:
     """Exact determinant via CRT over word-size primes."""
-    residue, modulus = 0, 1
-    for p, r in _det_residues(m.array):
-        # lift: x = residue (mod modulus), x = r (mod p)
-        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return residue - modulus if residue > modulus // 2 else residue
+    return dets_mod_crt([m.array])[0]
 
 
 def det(m: IntMatrix) -> int:
@@ -227,11 +252,15 @@ def det(m: IntMatrix) -> int:
 def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
     """Exact singularity test of a square IntMatrix or integer array.
 
-    Stops at the first nonzero modular residue; only a genuinely singular
-    matrix pays for the full CRT prime set.
+    The first CRT prime runs alone, and a nonzero residue ends the test;
+    only a matrix singular modulo that prime pays for the other primes,
+    which run as one stack.
     """
-    a = m.array if isinstance(m, IntMatrix) else np.asarray(m)
-    return not any(r for _, r in _det_residues(a))
+    a = _square(m.array if isinstance(m, IntMatrix) else m)
+    first, *rest = _crt_primes(a)
+    if _stacked_dets([a], [(0, first)])[0]:
+        return False
+    return not any(_stacked_dets([a], [(0, p) for p in rest]))
 
 
 # -- Smith normal form -------------------------------------------------

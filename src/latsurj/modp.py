@@ -1,20 +1,23 @@
 """Linear algebra over prime fields F_p.
 
 One elimination kernel, :func:`echelon`, serves every whole-matrix
-operation: rank, greedy pivot columns, the determinant mod p and kernel
+operation but the determinant: rank, greedy pivot columns and kernel
 vectors are all read off its row echelon form.  It runs the same numpy
 code on an int64 array for word-size moduli (p < 2^31, so a product of
 two residues fits in int64) and on an object array of Python integers
 beyond, which the certifier needs when determinants carry huge prime
-divisors.  Stacks of matrices mod 2 have their own bit-packed kernel
-(:func:`gf2_ranks`), and :class:`ColumnSpace` keeps a reduced basis that
-grows one column at a time.
+divisors.  Determinants mod p come from one stacked kernel, :func:`dets`,
+which eliminates a (k, n, n) stack with its own prime per slice and
+reduces the trailing block only every few columns.  Stacks of matrices
+mod 2 have their own bit-packed kernel (:func:`gf2_ranks`), and
+:class:`ColumnSpace` keeps a reduced basis that grows one column at a time.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,17 +29,34 @@ _WORD_PRIME_LIMIT = 2**31
 
 def int_array(a) -> np.ndarray:
     """a as an int64 array, or an object array of Python ints when an entry
-    does not fit (numpy itself would pick uint64 or float64)."""
-    if isinstance(a, np.ndarray):
-        return a.astype(object) if a.dtype == np.uint64 else a
+    does not fit (numpy itself would pick uint64 or float64).
+
+    Bools count as 0 and 1.  Anything else that is not an integer (floats,
+    even integral ones, complex numbers, strings, other objects) is a
+    ValueError.
+    """
+    if not isinstance(a, np.ndarray):
+        b = np.asarray(a)
+        # numpy reads ints on both sides of 2^63 as floats: recheck as objects
+        a = b if b.dtype.kind in "bi" else np.array(a, dtype=object)
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind not in "uO":
+        raise ValueError(f"entries must be integers, not {a.dtype}")
     try:
-        return np.array(a, dtype=np.int64)
+        # operator.index takes ints, bools and numpy integers, and no floats
+        values = [operator.index(x) for x in a.flat]
+    except TypeError:
+        raise ValueError("entries must be integers") from None
+    try:
+        return np.array(values, dtype=np.int64).reshape(a.shape)
     except OverflowError:
-        return np.array(a, dtype=object)
+        return np.array(values, dtype=object).reshape(a.shape)
 
 
-def _residues(a, p: int, dtype) -> np.ndarray:
-    """A fresh array of the entries of a reduced to [0, p), as int64 or object."""
+def _residues(a, p, dtype) -> np.ndarray:
+    """A fresh array of the entries of a reduced to [0, p), as int64 or
+    object; p is one modulus or an array of them that broadcasts against a."""
     a = int_array(a)
     if dtype == object and a.dtype != object:
         a = a.astype(object)  # Python ints: no wraparound, no overflow
@@ -46,20 +66,18 @@ def _residues(a, p: int, dtype) -> np.ndarray:
 # -- elimination -------------------------------------------------------
 
 
-def echelon(a, p: int) -> Tuple[np.ndarray, List[int], int]:
+def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
     """Row echelon form of an integer matrix over F_p (p prime).
 
-    Returns (e, pivots, det).  e is a reduced mod p, with zeros below
-    each pivot; pivot rows are not normalised.  pivots lists the pivot
-    column of each nonzero row of e, which are the greedy first
-    independent columns of a, so len(pivots) is the rank.  det is the
-    determinant mod p when a is square and 0 otherwise.  The caller's
-    array is never modified.
+    Returns (e, pivots).  e is a reduced mod p, with zeros below each
+    pivot; pivot rows are not normalised.  pivots lists the pivot column
+    of each nonzero row of e, which are the greedy first independent
+    columns of a, so len(pivots) is the rank.  The caller's array is
+    never modified.
     """
     e = _residues(a, p, np.int64 if p < _WORD_PRIME_LIMIT else object)
     rows, cols = e.shape
     pivots: List[int] = []
-    det = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -70,18 +88,73 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int], int]:
         i = r + int(nz[0])
         if i != r:
             e[[r, i]] = e[[i, r]]
-            det = -det
-        pivot = int(e[r, c])
-        det = det * pivot % p
-        factors = e[r + 1 :, c] * pow(pivot, -1, p) % p
+        factors = e[r + 1 :, c] * pow(int(e[r, c]), -1, p) % p
         e[r + 1 :, c] = 0
         block = e[r + 1 :, c + 1 :]
         block -= factors[:, None] * e[r, c + 1 :]
         block %= p
         pivots.append(c)
-    if len(pivots) < cols or rows != cols:
-        det = 0
-    return e, pivots, det
+    return e, pivots
+
+
+def _lazy_columns(p: int) -> int:
+    """Columns of updates an int64 trailing block mod p takes unreduced.
+
+    A reduced entry lies in [0, p) and each column subtracts one product
+    of two residues, at most (p - 1)^2, so L columns stay above -2^63
+    while L * (p - 1)^2 <= 2^63 - 1 - p.  For the CRT primes just below
+    2^30, L is 8.
+    """
+    return (2**63 - 1 - p) // (p - 1) ** 2
+
+
+def dets(stack, primes: Sequence[int]) -> np.ndarray:
+    """det(stack[t]) mod primes[t] for a (k, n, n) integer stack, as an array of k residues.
+
+    All slices share one loop over columns.  In each column every slice
+    takes its first row with a nonzero residue as pivot, and only the
+    pivot column and the pivot row are reduced mod p.  The trailing block
+    gets plain multiply-subtract and is reduced every L columns, with L
+    from the largest prime (:func:`_lazy_columns`).  Slices are int64
+    while every prime is below 2^31; beyond, they hold Python ints and
+    are reduced every column.  The caller's array is never modified.
+    """
+    primes = [operator.index(p) for p in primes]
+    top = max(primes, default=2)
+    word = top < _WORD_PRIME_LIMIT
+    a = int_array(stack)
+    if a.ndim != 3 or a.shape != (len(primes), a.shape[1], a.shape[1]):
+        raise ValueError("need a (k, n, n) stack and one prime per slice")
+    q = np.array(primes, dtype=np.int64 if word else object)
+    qs, qc = q[:, None, None], q[:, None]
+    # e is the trailing block: each column step drops its first row and column
+    e = _residues(a, qs, q.dtype)
+    k, n, _ = e.shape
+    lazy = _lazy_columns(top) if word else 1
+    slices = np.arange(k)
+    det = np.ones(k, dtype=e.dtype)
+    for c in range(n):
+        col = e[:, :, 0] % qc
+        i = (col != 0).argmax(axis=1)
+        pivot = col[slices, i]
+        det = det * pivot % q
+        if c == n - 1:
+            break
+        row = e[:, 0, 1:]
+        if i.any():
+            # the pivot row leaves the block and row 0 takes its place
+            det = np.where(i > 0, -det, det)
+            row = e[slices, i, 1:]
+            e[slices, i, 1:] = e[:, 0, 1:]
+            col[slices, i] = col[:, 0]
+        # a slice with no pivot already has det 0 and eliminates with factor 0
+        inverse = [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
+        factors = col[:, 1:] * np.array(inverse, dtype=e.dtype)[:, None] % qc
+        e = e[:, 1:, 1:]
+        e -= factors[:, :, None] * (row % qc)[:, None, :]
+        if (c + 1) % lazy == 0:
+            e = e % qs
+    return det
 
 
 def rank_mod_p(a, p: int) -> int:
@@ -95,7 +168,7 @@ def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
     x is 1 at the first free column and 0 at the later free columns; its
     pivot entries follow by back-substitution on the echelon form.
     """
-    e, pivots, _ = echelon(a, p)
+    e, pivots = echelon(a, p)
     cols = e.shape[1]
     # pivots increase, so the first free column is the first j with pivots[j] != j
     free = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
@@ -160,7 +233,7 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     p = 2 packs the stack into bits and eliminates all trials at once;
     other primes run echelon on one matrix at a time.
     """
-    stack = np.asarray(stack)
+    stack = int_array(stack)
     if p == 2:
         return gf2_ranks(pack_gf2(stack), stack.shape[-1])
     return np.array([rank_mod_p(a, p) for a in stack], dtype=np.int64)

@@ -289,6 +289,72 @@ def test_tampered_certificates_rejected():
     bad = replace(cert, columns=tuple(j - m.cols for j in cert.columns))
     assert not verify_certificate(m, bad)
 
+    # the second minor goes through the same checks in the verifier's
+    # stacked call: here the first candidate (0, 2) is singular
+    m = IntMatrix.from_rows([[2, 0, 1, 1], [0, 1, 0, 1]])
+    cert = is_surjective(m)
+    assert cert.columns_alt == (0, 3) and cert.determinant_alt == 2
+    assert verify_certificate(m, cert)
+    for columns_alt in (
+        (0, -1),  # negative: numpy would read column 3 and the same minor
+        (-4, 3),
+        (0, 4),  # out of range
+        (3, 3),  # repeated
+        (0, 0),
+        (0.0, 3.0),  # not integers
+        (0, 3.5),
+        ("0", "3"),
+        (0,),  # wrong length
+    ):
+        assert not verify_certificate(m, replace(cert, columns_alt=columns_alt))
+    assert not verify_certificate(m, replace(cert, determinant_alt=None))
+    assert not verify_certificate(m, replace(cert, determinant_alt=-2))
+
+
+def _search_one_at_a_time(m, pivots):
+    """The certifier's second-minor search, one candidate per determinant."""
+    for j in sorted(set(range(m.cols)) - set(pivots)):
+        candidate = tuple(sorted(list(pivots[:-1]) + [j]))
+        d = det(IntMatrix.from_array(m.array[:, candidate]))
+        if d != 0:
+            return candidate, d
+    return None, None
+
+
+def test_second_minor_search_matches_one_at_a_time(monkeypatch):
+    import latsurj.certifier as cert_mod
+
+    batches = []
+    real = cert_mod.dets_mod_crt
+
+    def recording(arrays):
+        batches.append(len(arrays))
+        return real(arrays)
+
+    monkeypatch.setattr(cert_mod, "dets_mod_crt", recording)
+    rng = random.Random(61)
+    n = 12
+    for copies in (1, 2, 3):
+        # a unimodular block on columns 0..n-1, then three more columns of
+        # which the first `copies` repeat column 0: as many candidate minors
+        # are singular before one is not
+        a = random_matrix(rng, n, n + 3, 0, 1).array.copy()
+        a[:, :n] = np.triu(a[:, :n], 1) + np.eye(n, dtype=np.int64)
+        a[n - 1, n:] = 1  # the minor replacing column n-1 by j is a[n-1, j]
+        a[:, n : n + copies] = a[:, [0]]
+        m = IntMatrix.from_array(a)
+        batches.clear()
+        cert = is_surjective(m)
+        assert cert.columns == tuple(range(n)) and cert.determinant == 1
+        assert (cert.columns_alt, cert.determinant_alt) == _search_one_at_a_time(m, cert.columns)
+        if copies < 3:
+            assert cert.columns_alt == tuple(range(n - 1)) + (n + copies,)
+        else:
+            assert cert.columns_alt is None
+        # d1 and the first candidate in one call, then one call per candidate
+        assert batches == [2] + [1] * min(copies, 2)
+        assert verify_certificate(m, cert)
+
 
 def test_forged_surjective_verdict_rejected():
     m = IntMatrix.from_rows([[2, 0], [0, 2]])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latsurj import exact_linalg
 from latsurj.exact_linalg import (
     CokernelStructure,
     IntMatrix,
@@ -14,11 +16,12 @@ from latsurj.exact_linalg import (
     det_bareiss,
     det_is_zero,
     det_mod_crt,
+    dets_mod_crt,
     format_matrix,
     parse_matrix,
     smith_normal_form,
 )
-from latsurj.modp import echelon, rank_mod_p
+from latsurj.modp import dets, rank_mod_p
 
 from oracles import det_permutation_expansion
 
@@ -170,7 +173,83 @@ def test_det_large_matrix_crt_path():
     d = det(m)
     # spot-check the value against a residue the CRT never used
     p = 999999937
-    assert d % p == echelon(m.array, p)[2]
+    assert d % p == dets([m.array], [p])[0]
+
+
+def test_det_is_zero_rejects_non_integers():
+    # a float array used to reduce as floats and read as singular
+    for a in (np.array([[0.5]]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.5]], dtype=object)):
+        with pytest.raises(ValueError):
+            det_is_zero(a)
+        with pytest.raises(ValueError):
+            dets_mod_crt([a])
+
+
+def test_dets_mod_crt_batches_equal_sizes():
+    rng = random.Random(29)
+    mats = [random_matrix(rng, 9, 9, -(2**62), 2**62) for _ in range(3)]
+    mats.append(random_matrix(rng, 9, 9, -(2**70), 2**70))
+    singular = mats[0].array.tolist()
+    singular[4] = singular[2]
+    arrays = [m.array for m in mats] + [np.array(singular, dtype=object)]
+    assert dets_mod_crt(arrays) == [det_bareiss(IntMatrix.from_array(a)) for a in arrays]
+    assert dets_mod_crt([]) == []
+    with pytest.raises(ValueError):
+        dets_mod_crt([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+    with pytest.raises(ValueError):
+        dets_mod_crt([np.ones((2, 3), dtype=np.int64)])
+
+
+def test_crt_primes_follow_the_row_norms():
+    # a 50 x 50 {0, 1} minor of the certifier: its rows hold about 25 ones, so
+    # prod ||r_i|| is near 2^116 and four primes below 2^30 pass twice it,
+    # where the entrywise bound 50^25 > 2^141 took five
+    a = np.random.default_rng(8).integers(0, 2, size=(50, 50))
+    assert len(exact_linalg._crt_primes(a)) == 4
+    assert len(exact_linalg._crt_primes(np.ones((50, 50), dtype=np.int64))) == 5
+
+
+def _record_slices(monkeypatch, fake=None):
+    """Replace the stacked kernel exact_linalg calls; returns the shapes
+    of the stacks it receives."""
+    shapes = []
+    real = exact_linalg.dets
+
+    def recording(stack, primes):
+        shapes.append(np.shape(stack))
+        assert len(primes) == shapes[-1][0]
+        return fake(stack, primes) if fake else real(stack, primes)
+
+    monkeypatch.setattr(exact_linalg, "dets", recording)
+    return shapes
+
+
+def test_det_is_zero_eliminates_one_slice_when_nonsingular(monkeypatch):
+    shapes = _record_slices(monkeypatch)
+    m = random_matrix(random.Random(5), 30, 30, 0, 1)
+    assert det_bareiss(m) != 0
+    assert not det_is_zero(m)
+    assert [s[0] for s in shapes] == [1]
+    # a singular matrix pays for its other primes in one more stack
+    rows = m.array.tolist()
+    rows[7] = rows[3]
+    shapes.clear()
+    assert det_is_zero(IntMatrix.from_rows(rows))
+    primes = len(exact_linalg._crt_primes(np.array(rows)))
+    assert [s[0] for s in shapes] == [1, primes - 1]
+
+
+def test_det_mod_crt_stacks_stay_under_the_cap(monkeypatch):
+    # criterion 8's shape: this 400 x 400 {0, 1} matrix needs 52 primes,
+    # which come in stacks of at most 13 slices (16 MiB); the fake kernel
+    # keeps the test fast
+    shapes = _record_slices(monkeypatch, lambda stack, primes: np.zeros(len(primes), dtype=np.int64))
+    a = np.random.default_rng(2).integers(0, 2, size=(400, 400))
+    assert exact_linalg._STACK_BYTES == 1 << 24
+    assert det_mod_crt(IntMatrix.from_array(a)) == 0
+    assert sum(s[0] for s in shapes) == len(exact_linalg._crt_primes(a)) > 40
+    assert len(shapes) > 1
+    assert all(s[0] * 8 * 400 * 400 <= exact_linalg._STACK_BYTES for s in shapes)
 
 
 @given(st.integers(1, 5), st.data())
@@ -187,6 +266,12 @@ def test_row_swap_negates_det(n, data):
     assert abs(det_bareiss(IntMatrix.from_array(m.array.T))) == abs(det_bareiss(m))
 
 
+def _classic_hadamard(n, k0):
+    """k0^n * n^(n/2), rounded up: the bound for entries of size at most k0."""
+    root = math.isqrt(n**n)
+    return k0**n * (root if root * root == n**n else root + 1)
+
+
 def test_hadamard_bound_dominates_dets_at_unit_entries():
     from latsurj.exact_linalg import _det_bound
 
@@ -194,7 +279,11 @@ def test_hadamard_bound_dominates_dets_at_unit_entries():
     for _ in range(30):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n, n, -1, 1)
-        assert abs(det_bareiss(m)) <= _det_bound(n, 1)
+        assert abs(det_bareiss(m)) <= _det_bound(m.array) <= _classic_hadamard(n, 1)
+    # equality at a Hadamard matrix, and at the all-ones row of width n
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    assert _det_bound(h) == abs(det_bareiss(IntMatrix.from_array(h))) == 16
+    assert _det_bound(np.ones((3, 3), dtype=np.int64)) == _classic_hadamard(3, 1)
 
 
 def test_det_bound_dominates_dets_at_any_entries():
@@ -205,7 +294,11 @@ def test_det_bound_dominates_dets_at_any_entries():
         n = rng.randint(1, 5)
         k0 = rng.randint(1, 9)
         m = random_matrix(rng, n, n, -k0, k0)
-        assert abs(det_bareiss(m)) <= _det_bound(n, k0)
+        assert abs(det_bareiss(m)) <= _det_bound(m.array) <= _classic_hadamard(n, k0)
+    # exact in Python ints where the squared row norms pass 2^63
+    edge = np.array([[-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)]], dtype=np.int64)
+    assert _det_bound(edge) == 2**126 + (2**63 - 1) ** 2
+    assert abs(det_bareiss(IntMatrix.from_array(edge))) <= _det_bound(edge)
 
 
 # -- Smith normal form ---------------------------------------------------

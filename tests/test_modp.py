@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latsurj import modp
 from latsurj.certifier import surjective_mod_p
 from latsurj.exact_linalg import IntMatrix, bareiss, cokernel_p_part, det_bareiss
 from latsurj.modp import (
     ColumnSpace,
+    int_array,
+    dets,
     echelon,
     iter_subspaces,
     kernel_vector,
@@ -18,6 +21,8 @@ from latsurj.modp import (
     ranks_mod_p,
     subspace_elements,
 )
+
+from latsurj.primes import crt_primes
 
 from oracles import (
     odlyzko_violations,
@@ -107,7 +112,7 @@ def test_echelon_matches_independent_oracles(case, as_array):
     rows, p = case
     n, m = len(rows), len(rows[0])
     a = IntMatrix.from_rows(rows).array if as_array else rows
-    e, pivots, d = echelon(a, p)
+    e, pivots = echelon(a, p)
 
     assert e.dtype == (np.int64 if p < 2**31 else object)
     assert len(pivots) == _rank_by_smith(rows, p)
@@ -118,8 +123,8 @@ def test_echelon_matches_independent_oracles(case, as_array):
     # greedy pivots: column j is a pivot iff it raises the rank of its prefix
     prefix_ranks = [0] + [_rank_by_smith([row[: j + 1] for row in rows], p) for j in range(m)]
     assert pivots == [j for j in range(m) if prefix_ranks[j + 1] > prefix_ranks[j]]
-    expected_det = det_bareiss(IntMatrix.from_rows(rows)) % p if n == m else 0
-    assert d == expected_det
+    if n == m:
+        assert dets([a], [p]).tolist() == [det_bareiss(IntMatrix.from_rows(rows)) % p]
 
     x = kernel_vector(a, p)
     assert (x is None) == (len(pivots) == m)
@@ -131,6 +136,146 @@ def test_echelon_matches_independent_oracles(case, as_array):
     if w is not None:
         assert any(w)
         assert all(sum(w[i] * rows[i][j] for i in range(n)) % p == 0 for j in range(m))
+
+
+# -- non-integer input --------------------------------------------------------
+
+NON_INTEGER_ARRAYS = [
+    np.array([[0.5, 0], [0, 1.0]]),
+    np.array([[1.0, 0], [0, 1.0]]),  # integral floats are floats too
+    np.array([[1 + 0j, 0], [0, 1]]),
+    np.array([["1", "0"], ["0", "1"]]),
+    np.array([[0.5, 0], [0, 1]], dtype=object),
+    np.array([[Fraction(1, 2), 0], [0, 2**70]], dtype=object),
+    [[0.5, 0], [0, 1]],
+    [[2**70, 0.5], [0, 1]],
+]
+
+
+@pytest.mark.parametrize("a", NON_INTEGER_ARRAYS, ids=range(len(NON_INTEGER_ARRAYS)))
+def test_non_integer_entries_rejected(a):
+    # floats used to pass through int_array and reduce as floats
+    # (rank 1 for the first matrix mod 5)
+    with pytest.raises(ValueError):
+        int_array(a)
+    for p in (2, 5, 2**61 - 1):
+        with pytest.raises(ValueError):
+            rank_mod_p(a, p)
+        with pytest.raises(ValueError):
+            echelon(a, p)
+        with pytest.raises(ValueError):
+            kernel_vector(a, p)
+        with pytest.raises(ValueError):
+            left_kernel_vector(a, p)
+        with pytest.raises(ValueError):
+            ranks_mod_p(np.array([a, a]), p)
+        with pytest.raises(ValueError):
+            dets(np.array([a]), [p])
+    with pytest.raises(ValueError):
+        ColumnSpace(5, 2).extend(np.array(a)[0])
+    with pytest.raises(ValueError):
+        ColumnSpace.from_columns(5, np.array(a).T, 2)
+
+
+def test_int_array_keeps_integers():
+    assert int_array([[1, 2**63]]).dtype == object  # numpy alone reads float64
+    assert int_array([[1, 2**63]]).tolist() == [[1, 2**63]]
+    assert int_array(np.array([[True, False]])).dtype == np.int64
+    assert int_array(np.array([3, 4], dtype=object)).dtype == np.int64
+    assert int_array(np.array([2**64], dtype=object)).dtype == object
+    assert int_array(np.array([2**63], dtype=np.uint64)).tolist() == [2**63]
+    assert int_array(np.array([3], dtype=np.int32)).dtype == np.int64
+
+
+# -- stacked determinants -----------------------------------------------------
+
+CRT = tuple(crt_primes(6))
+# the CRT primes, small primes, the largest int64 prime and the object path
+DET_PRIMES = CRT + (2, 3, 2**31 - 1, 2**61 - 1)
+DET_ENTRIES = {
+    "bits": st.integers(0, 1),
+    "small": st.integers(-9, 9),
+    "edge": st.sampled_from((0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63))),
+    "word": st.integers(-(2**63), 2**63 - 1),
+    "beyond": st.integers(-(2**70), 2**70),
+}
+
+
+@st.composite
+def det_slices(draw):
+    """(rows, p) pairs of one size n in 1..40: random matrices of one entry
+    kind, rank-deficient ones, and ones whose det is a CRT prime q, so it
+    vanishes modulo q only."""
+    n = draw(st.integers(1, 40))
+    # wide entries make the Bareiss oracle slow; keep them to small n
+    kinds = ["bits", "small"] + (["edge", "word", "beyond"] if n <= 12 else [])
+    slices = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "deficient", "det_is_crt_prime"]))
+        entry = DET_ENTRIES[draw(st.sampled_from(kinds))]
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        p = draw(st.sampled_from(DET_PRIMES))
+        if kind == "deficient" and n >= 2:
+            rows[-1] = [x - y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+        if kind == "det_is_crt_prime":
+            # diag(q, 1, ..., 1) times an upper unitriangular matrix
+            q = draw(st.sampled_from(CRT))
+            rows = [[0] * i + [1] + row[i + 1 :] for i, row in enumerate(rows)]
+            rows[0] = [q * x for x in rows[0]]
+            p = draw(st.sampled_from([q, CRT[(CRT.index(q) + 1) % len(CRT)]]))
+        slices.append((rows, p))
+    return slices
+
+
+@given(det_slices())
+@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], CRT[0])])
+@example([([[1]], 2), ([[0]], 3)])
+@example([([[CRT[0], 5], [0, 1]], CRT[0]), ([[CRT[0], 5], [0, 1]], CRT[1])])
+@settings(max_examples=80, deadline=None)
+def test_dets_match_bareiss(slices):
+    # one stack mixes matrices and primes; slice t is reduced mod primes[t]
+    stack = np.array([rows for rows, _ in slices], dtype=object)
+    primes = [p for _, p in slices]
+    expected = [det_bareiss(IntMatrix.from_rows(rows)) % p for rows, p in slices]
+    assert dets(stack, primes).tolist() == expected
+    assert dets(IntMatrix.from_rows(slices[0][0]).array[None], primes[:1]).tolist() == expected[:1]
+
+
+def _worst_case_growth(n):
+    """An n x n matrix of det 1 whose elimination mod any p pivots on 1 in
+    every column and multiplies residues p - 1 by p - 1 in every update.
+
+    It is L U with L unit lower triangular holding -1 below the diagonal and
+    U unit upper triangular holding -1 above it: each Schur complement again
+    has 1 on its diagonal corner and -1 elsewhere in its first row and column.
+    """
+    lower = np.tril(-np.ones((n, n), dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    return lower @ lower.T
+
+
+def test_dets_lazy_reduction_worst_case(monkeypatch):
+    p = CRT[0]
+    lazy = modp._lazy_columns(p)
+    assert lazy == 8
+    a = _worst_case_growth(lazy + 4)  # more than L + 1 columns of updates
+    assert det_bareiss(IntMatrix.from_array(a)) == 1
+    residues = a % p
+    assert (residues[0, 1:] == p - 1).all() and (residues[1:, 0] == p - 1).all()
+    assert dets(np.stack([a, a]), [p, CRT[1]]).tolist() == [1, 1]
+    # one more column between reductions passes 2^63 and wraps
+    monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
+    assert dets(a[None], [p]).tolist() != [1]
+
+
+def test_dets_shapes():
+    assert dets(np.zeros((0, 3, 3), dtype=np.int64), []).tolist() == []
+    assert dets([[[7]]], [5]).tolist() == [2]
+    with pytest.raises(ValueError):
+        dets(np.zeros((2, 3, 3), dtype=np.int64), [5])
+    with pytest.raises(ValueError):
+        dets(np.zeros((1, 2, 3), dtype=np.int64), [5])
+    with pytest.raises(ValueError):
+        dets(np.zeros((3, 3), dtype=np.int64), [5, 7, 11])
 
 
 # -- batched ranks -------------------------------------------------------
