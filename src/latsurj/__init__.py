@@ -1,6 +1,7 @@
 """latsurj: surjectivity of integer matrices onto the integer lattice.
 
-Certify M: Z^m -> Z^n surjective via prime reduction, simulate the random
+Certify M: Z^m -> Z^n surjective or not by maximal minors and modular
+annihilators, simulate the random
 ensembles and the column-exposure process behind near-square surjectivity,
 evaluate the limiting cokernel predictions, and verify finite-field
 anti-concentration inequalities by exact computation.
@@ -30,7 +31,7 @@ from .ensembles import (
     sparse_bernoulli,
     symmetrize,
 )
-from .certifier import Certificate, is_surjective, surjective_mod_p, verify_certificate
+from .certifier import Certificate, is_surjective, verify_certificate
 from .exposure import ExposureTrace, batch_size, epsilon_n, run_exposure, u_budget
 from .predictions import (
     Prediction,

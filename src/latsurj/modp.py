@@ -1,12 +1,15 @@
-"""Linear algebra over prime fields F_p.
+"""Linear algebra over prime fields F_p, and over Z/N with unit pivots.
 
 One elimination kernel, :func:`echelon`, serves every whole-matrix
 operation but the determinant: rank, greedy pivot columns and kernel
 vectors are all read off its row echelon form.  It runs the same numpy
-code on an int64 array for word-size moduli (p < 2^31, so a product of
+code on an int64 array for word-size moduli (below 2^31, so a product of
 two residues fits in int64) and on an object array of Python integers
-beyond, which the certifier needs when determinants carry huge prime
-divisors.  Determinants mod p come from one stacked kernel, :func:`dets`,
+beyond, which the certifier needs when it eliminates modulo a huge gcd of
+minors.  The modulus may be composite: while every pivot is a unit the
+elimination is valid modulo every prime factor at once, and a pivot that
+is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
+the modulus.  Determinants mod p come from one stacked kernel, :func:`dets`,
 which eliminates a (k, n, n) stack with its own prime per slice and
 reduces the trailing block only every few columns.  Stacks of matrices
 mod 2 have their own bit-packed kernel (:func:`gf2_ranks`), and
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -24,7 +28,20 @@ import numpy as np
 
 from . import primes as _primes
 
-_WORD_PRIME_LIMIT = 2**31
+# moduli below this keep int64 residues
+_WORD_LIMIT = 2**31
+
+
+class NonUnitPivot(ArithmeticError):
+    """A nonzero pivot that is not a unit modulo a composite modulus.
+
+    `divisor` is gcd(pivot, modulus), a divisor of the modulus strictly
+    between 1 and the modulus.
+    """
+
+    def __init__(self, divisor: int) -> None:
+        super().__init__(f"pivot shares the factor {divisor} with the modulus")
+        self.divisor = divisor
 
 
 def int_array(a) -> np.ndarray:
@@ -67,15 +84,17 @@ def _residues(a, p, dtype) -> np.ndarray:
 
 
 def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Row echelon form of an integer matrix over F_p (p prime).
+    """Row echelon form of an integer matrix over Z/p, p >= 2.
 
     Returns (e, pivots).  e is a reduced mod p, with zeros below each
     pivot; pivot rows are not normalised.  pivots lists the pivot column
     of each nonzero row of e, which are the greedy first independent
-    columns of a, so len(pivots) is the rank.  The caller's array is
-    never modified.
+    columns of a, so len(pivots) is the rank.  For composite p every
+    pivot is a unit, so the same holds modulo each prime factor of p; the
+    first nonzero pivot candidate that is not a unit raises NonUnitPivot.
+    The caller's array is never modified.
     """
-    e = _residues(a, p, np.int64 if p < _WORD_PRIME_LIMIT else object)
+    e = _residues(a, p, np.int64 if p < _WORD_LIMIT else object)
     rows, cols = e.shape
     pivots: List[int] = []
     for c in range(cols):
@@ -88,7 +107,11 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
         i = r + int(nz[0])
         if i != r:
             e[[r, i]] = e[[i, r]]
-        factors = e[r + 1 :, c] * pow(int(e[r, c]), -1, p) % p
+        try:
+            inverse = pow(int(e[r, c]), -1, p)
+        except ValueError:
+            raise NonUnitPivot(math.gcd(int(e[r, c]), p)) from None
+        factors = e[r + 1 :, c] * inverse % p
         e[r + 1 :, c] = 0
         block = e[r + 1 :, c + 1 :]
         block -= factors[:, None] * e[r, c + 1 :]
@@ -121,7 +144,7 @@ def dets(stack, primes: Sequence[int]) -> np.ndarray:
     """
     primes = [operator.index(p) for p in primes]
     top = max(primes, default=2)
-    word = top < _WORD_PRIME_LIMIT
+    word = top < _WORD_LIMIT
     a = int_array(stack)
     if a.ndim != 3 or a.shape != (len(primes), a.shape[1], a.shape[1]):
         raise ValueError("need a (k, n, n) stack and one prime per slice")
@@ -163,10 +186,11 @@ def rank_mod_p(a, p: int) -> int:
 
 
 def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """One nonzero x with a @ x = 0 over F_p, or None if a is injective.
+    """One nonzero x with a @ x = 0 over Z/p, or None if a is injective.
 
     x is 1 at the first free column and 0 at the later free columns; its
-    pivot entries follow by back-substitution on the echelon form.
+    pivot entries follow by back-substitution on the echelon form, whose
+    pivots are units.  A composite p can raise NonUnitPivot, as in echelon.
     """
     e, pivots = echelon(a, p)
     cols = e.shape[1]
@@ -183,7 +207,7 @@ def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
 
 
 def left_kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """One nonzero row vector w with w @ a = 0 over F_p, or None."""
+    """One nonzero row vector w with w @ a = 0 over Z/p, or None."""
     return kernel_vector(int_array(a).T, p)
 
 

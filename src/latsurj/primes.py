@@ -1,10 +1,13 @@
 """Primality testing, prime generation, and bounded integer factorization.
 
 The factorizer is deliberately budgeted: trial division up to a fixed limit,
-then Brent-style Pollard rho with a bounded iteration count.  Callers that
-need totality (the certifier, the exposure simulator) catch
-:class:`FactorizationError` and fall back to Smith-form based reasoning.
-All routines are deterministic: no randomized seeds enter the rho cycle.
+then Brent-style Pollard rho with a bounded iteration count.  The exposure
+simulator, which tracks the primes of a determinant, catches
+:class:`FactorizationError` and falls back to factoring the Smith diagonal;
+the certifier needs no factoring and no primality test.  The CRT primes
+below 2^30 come from the Miller-Rabin test, which is deterministic at that
+size.  All routines are deterministic: no randomized seeds enter the rho
+cycle.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latsurj.certifier import (
-    Certificate,
-    is_surjective,
-    surjective_mod_p,
-    verify_certificate,
-)
+from latsurj.certifier import Certificate, is_surjective, verify_certificate
 from latsurj.exact_linalg import (
     IntMatrix,
     bareiss,
@@ -24,6 +20,7 @@ from latsurj.exact_linalg import (
     parse_matrix,
     smith_diagonal,
 )
+from latsurj.modp import rank_mod_p
 from latsurj.primes import FactorizationError, factorize, is_probable_prime, prime_divisors
 
 from oracles import cokernel_brute_force
@@ -84,11 +81,12 @@ def test_miller_rabin_agrees_with_trial_division():
 
 
 def test_surjective_mod_p_examples():
-    assert surjective_mod_p(IntMatrix.identity(3), 5)
-    assert not surjective_mod_p(IntMatrix.from_rows([[2, 4]]), 2)
-    assert surjective_mod_p(IntMatrix.from_rows([[2, 3]]), 5)
-    with pytest.raises(ValueError):
-        surjective_mod_p(IntMatrix.from_rows([[1], [2]]), 3)
+    m = IntMatrix.identity(3)
+    assert rank_mod_p(m.array, 5) == m.rows
+    m = IntMatrix.from_rows([[2, 4]])
+    assert rank_mod_p(m.array, 2) < m.rows
+    m = IntMatrix.from_rows([[2, 3]])
+    assert rank_mod_p(m.array, 5) == m.rows
 
 
 # -- the certifier --------------------------------------------------------
@@ -98,7 +96,7 @@ def test_identity_is_surjective():
     cert = is_surjective(IntMatrix.identity(4))
     assert cert.is_surjective
     assert cert.gcd_value == 1
-    assert cert.factorization == ()
+    assert cert.extra_columns is None
     assert verify_certificate(IntMatrix.identity(4), cert)
 
 
@@ -106,8 +104,9 @@ def test_single_entry_two():
     m = IntMatrix.from_rows([[2]])
     cert = is_surjective(m)
     assert not cert.is_surjective
-    assert cert.prime == 2
+    assert cert.modulus == 2
     assert cert.annihilator is not None
+    assert cert.determinant is None
     assert verify_certificate(m, cert)
 
 
@@ -117,7 +116,7 @@ def test_wide_matrix_with_even_obstruction():
     assert cokernel(m).invariant_factors == (2,)
     cert = is_surjective(m)
     assert not cert.is_surjective
-    assert cert.prime == 2
+    assert (cert.reason, cert.modulus) == ("annihilator", 2)
     assert verify_certificate(m, cert)
 
 
@@ -139,8 +138,7 @@ def test_shape_obstruction():
 def test_rank_deficient_over_rationals():
     m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     cert = is_surjective(m)
-    assert cert.reason == "rank_deficient"
-    assert cert.rational_rank == 1
+    assert (cert.reason, cert.modulus) == ("annihilator", 2**31 - 1)
     assert verify_certificate(m, cert)
 
 
@@ -188,7 +186,7 @@ def test_large_prime_soundness():
             continue
         for p in (10**9 + 7, 10**9 + 9, 2**31 - 1):
             if cert.determinant % p != 0:
-                assert surjective_mod_p(m, p)
+                assert rank_mod_p(m.array, p) == m.rows
 
 
 def test_entries_beyond_int64():
@@ -206,8 +204,8 @@ def test_entries_beyond_int64():
         cert = is_surjective(big)
         assert verify_certificate(big, cert)
         assert cert.is_surjective == cokernel(m).is_trivial
-        reasons.append(cert.reason)
-    assert reasons[0] == "mod_p"
+        reasons.append((cert.reason, cert.modulus))
+    assert reasons[0] == ("annihilator", 2)
 
 
 # entries on both sides of the int64 limits, and well past them
@@ -262,7 +260,8 @@ def test_int64_boundary_entries(case):
     json.dumps(doc)
     for key in ("columns", "columns_alt", "annihilator"):
         assert all(type(x) is int for x in doc.get(key, ()))
-    for key in ("determinant", "determinant_alt", "gcd_value", "prime", "rational_rank"):
+    assert all(type(x) is int for s in doc.get("extra_columns", ()) for x in s)
+    for key in ("determinant", "determinant_alt", "gcd_value", "modulus"):
         assert type(doc.get(key, 0)) is int
 
 
@@ -270,15 +269,15 @@ def test_int64_boundary_entries(case):
 
 
 def test_tampered_certificates_rejected():
-    # surjective, but only via a nontrivial factored gcd (det of the pivot
-    # submatrix is 2, full rank mod 2 holds on the whole matrix)
+    # surjective, but only via a gcd of 2: the one maximal minor on (0, 1)
+    # is 2, and full rank mod 2 gives the extra minor on (1, 2), which is -1
     m = IntMatrix.from_rows([[2, 0, 1], [0, 1, 0]])
     cert = is_surjective(m)
     assert cert.is_surjective and verify_certificate(m, cert)
-    assert cert.factorization == ((2, 1),)
-    # drop the prime from the factorization: product mismatch
-    bad = replace(cert, factorization=(), prime_checks=())
-    assert not verify_certificate(m, bad)
+    assert (cert.determinant, cert.gcd_value, cert.extra_columns) == (2, 2, ((1, 2),))
+    # drop the extra minor: gcd 2 remains
+    assert not verify_certificate(m, replace(cert, extra_columns=None))
+    assert not verify_certificate(m, replace(cert, extra_columns=()))
     # wrong determinant
     bad = replace(cert, determinant=cert.determinant + 1)
     assert not verify_certificate(m, bad)
@@ -288,14 +287,18 @@ def test_tampered_certificates_rejected():
     # the same columns counted from the end are not column indices
     bad = replace(cert, columns=tuple(j - m.cols for j in cert.columns))
     assert not verify_certificate(m, bad)
+    # a flipped verdict carries no annihilator
+    assert not verify_certificate(m, replace(cert, verdict="not_surjective"))
 
-    # the second minor goes through the same checks in the verifier's
-    # stacked call: here the first candidate (0, 2) is singular
+    # the second minor and the extra minors go through the same checks in
+    # the verifier's stacked call: here the first candidate (0, 2) is
+    # singular, and the extra minor on (1, 2) is -1
     m = IntMatrix.from_rows([[2, 0, 1, 1], [0, 1, 0, 1]])
     cert = is_surjective(m)
     assert cert.columns_alt == (0, 3) and cert.determinant_alt == 2
+    assert cert.extra_columns == ((1, 2),)
     assert verify_certificate(m, cert)
-    for columns_alt in (
+    for columns in (
         (0, -1),  # negative: numpy would read column 3 and the same minor
         (-4, 3),
         (0, 4),  # out of range
@@ -305,10 +308,24 @@ def test_tampered_certificates_rejected():
         (0, 3.5),
         ("0", "3"),
         (0,),  # wrong length
+        (0, 1, 3),
     ):
-        assert not verify_certificate(m, replace(cert, columns_alt=columns_alt))
+        assert not verify_certificate(m, replace(cert, columns_alt=columns))
+        # next to a unit minor, only the checks on the bad set can reject
+        assert not verify_certificate(m, replace(cert, extra_columns=((1, 2), columns)))
+    assert not verify_certificate(m, replace(cert, extra_columns=((-3, 2),)))  # (1, 2) from the end
     assert not verify_certificate(m, replace(cert, determinant_alt=None))
     assert not verify_certificate(m, replace(cert, determinant_alt=-2))
+    # a second determinant with no columns to check it on
+    assert not verify_certificate(m, replace(cert, columns_alt=None))
+    # extra minors that share the factor 2 with the gcd: the minors on
+    # (0, 1), (0, 2) and (0, 3) are 2, 0 and 2
+    for extra in (((0, 1),), ((0, 2),), ((0, 3),), ((0, 3), (0, 1))):
+        assert not verify_certificate(m, replace(cert, extra_columns=extra))
+    # any listed minors with gcd 1 prove surjectivity: (1, 3) and (2, 3)
+    # give -1 and 1
+    assert verify_certificate(m, replace(cert, extra_columns=((1, 3),)))
+    assert verify_certificate(m, replace(cert, extra_columns=((0, 1), (2, 3))))
 
 
 def _search_one_at_a_time(m, pivots):
@@ -358,55 +375,198 @@ def test_second_minor_search_matches_one_at_a_time(monkeypatch):
 
 def test_forged_surjective_verdict_rejected():
     m = IntMatrix.from_rows([[2, 0], [0, 2]])
-    forged = Certificate(
-        verdict="surjective",
-        method="prime_reduction",
-        columns=(0, 1),
-        determinant=4,
-        gcd_value=4,
-        factorization=((2, 2),),
-        prime_checks=((2, True),),
-    )
+    forged = Certificate(verdict="surjective", columns=(0, 1), determinant=4, gcd_value=4)
     assert not verify_certificate(m, forged)
+    # the only maximal minor is 4, so no extra column set can help
+    assert not verify_certificate(m, replace(forged, extra_columns=((0, 1),)))
+    assert not verify_certificate(m, replace(forged, extra_columns=((1, 0),)))
+    assert not verify_certificate(m, replace(forged, gcd_value=1))
+    # the true certificate, with its verdict flipped
+    cert = is_surjective(m)
+    assert (cert.reason, cert.modulus) == ("annihilator", 2) and cert.determinant is None
+    assert not verify_certificate(m, replace(cert, verdict="surjective"))
 
 
 def test_forged_annihilator_rejected():
     m = IntMatrix.identity(2)
-    forged = Certificate(
-        verdict="not_surjective",
-        method="prime_reduction",
-        reason="mod_p",
-        prime=2,
-        annihilator=(1, 0),
-    )
+    forged = Certificate(verdict="not_surjective", reason="annihilator", modulus=2, annihilator=(1, 0))
     assert not verify_certificate(m, forged)
+
+    # cokernel Z/2; its certificate is w = (0, 1) modulo 2
+    m = IntMatrix.from_rows([[1, 0, 3], [0, 2, 4]])
+    cert = is_surjective(m)
+    assert (cert.modulus, cert.annihilator) == (2, (0, 1)) and cert.determinant is None
+    assert verify_certificate(m, cert)
+    for modulus, annihilator in (
+        (4, (0, 1)),  # composite N with w M = (0, 2, 4) != 0 mod 4
+        (6, (0, 1)),
+        (0, (0, 1)),  # N below 2
+        (1, (0, 1)),
+        (-2, (0, 1)),
+        (2, (0, 2)),  # w = 0 mod N
+        (2, (0, 0)),
+        (2, (0, 1, 0)),  # wrong length
+        (2, (1,)),
+        (2, (0.0, 1.0)),  # not integers
+        (2.0, (0, 1)),
+        (None, (0, 1)),
+        (2, None),
+    ):
+        assert not verify_certificate(m, replace(cert, modulus=modulus, annihilator=annihilator))
+    assert not verify_certificate(m, replace(cert, reason=None))
+    assert not verify_certificate(m, replace(cert, reason="shape"))
+    assert not verify_certificate(m, replace(cert, verdict="surjective"))
+    # a composite modulus is sound: cokernel Z/6, w = (0, 1) modulo 6
+    m = IntMatrix.from_rows([[1, 0, 3], [0, 6, 12]])
+    assert verify_certificate(m, replace(cert, modulus=6))
+    assert verify_certificate(m, replace(cert, modulus=3, annihilator=(3, 1)))
+    assert not verify_certificate(m, replace(cert, modulus=3, annihilator=(1, 1)))
+
+
+# names that must not be needed to certify or verify; they are also made to
+# raise where they are defined, in case the certifier reaches them through
+# their module
+_EXACT_TOOLS = {
+    "latsurj.certifier": (
+        "factorize",
+        "prime_divisors",
+        "cokernel",
+        "smith_diagonal",
+        "smith_normal_form",
+        "bareiss",
+        "is_probable_prime",
+        "rank_mod_p",
+    ),
+    "latsurj.primes": ("factorize", "prime_divisors", "is_probable_prime"),
+    "latsurj.exact_linalg": ("cokernel", "smith_diagonal", "smith_normal_form", "bareiss"),
+}
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
+@contextmanager
+def _forbid(names):
+    with pytest.MonkeyPatch.context() as mp:
+        for module, attrs in names.items():
+            for attr in attrs:
+                mp.setattr(f"{module}.{attr}", _forbidden(attr), raising=False)
+        yield
+
+
+def certify_without_exact_tools(m):
+    """The certificate of m, which must also come out, and verify, while
+    factoring, primality tests, the Smith form and Bareiss raise, and
+    verify while elimination raises too.
+
+    A first pass with everything in place fills the CRT prime cache,
+    which grows by primality tests of its own.
+    """
+    expected = is_surjective(m)
+    assert verify_certificate(m, expected)
+    with _forbid(_EXACT_TOOLS):
+        cert = is_surjective(m)
+        with _forbid({"latsurj.certifier": ("echelon", "left_kernel_vector"), "latsurj.modp": ("echelon",)}):
+            assert verify_certificate(m, cert)
+    assert cert == expected
+    return cert
 
 
 def test_snf_fallback_certificates():
-    # force the fallback by making the factoring budget hit a hard gcd
-    import latsurj.certifier as cert_mod
+    # the parent certifier fell back to the Smith form when factoring the
+    # gcd failed; no path needs either now.  The gcd below is a product of
+    # two Mersenne primes of 89 and 107 bits, beyond any rho budget.
+    hard = (2**89 - 1) * (2**107 - 1)
+    scaled = IntMatrix.from_rows([[2, 0, 2], [0, 2, 2]])
+    assert not cokernel(scaled).is_trivial
+    cert = certify_without_exact_tools(scaled)
+    assert (cert.verdict, cert.modulus) == ("not_surjective", 2)
 
-    m = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    original = cert_mod._primes.factorize
-    calls = {}
-
-    def failing_factorize(n, rho_budget=None):
-        calls["n"] = n
-        raise cert_mod._primes.FactorizationError("forced")
-
-    cert_mod._primes.factorize = failing_factorize
-    try:
-        scaled = IntMatrix.from_rows([[2, 0, 2], [0, 2, 2]])
-        cert = is_surjective(scaled)
-        assert cert.method == "snf_fallback"
-        assert not cert.is_surjective
-        assert verify_certificate(scaled, cert)
-    finally:
-        cert_mod._primes.factorize = original
+    cert = certify_without_exact_tools(IntMatrix.from_rows([[hard, 2 * hard, 1]]))
+    assert cert.is_surjective and cert.gcd_value == hard and cert.extra_columns == ((2,),)
+    cert = certify_without_exact_tools(IntMatrix.from_rows([[hard, 2 * hard, 3 * hard]]))
+    assert (cert.verdict, cert.modulus, cert.annihilator) == ("not_surjective", hard, (1,))
 
 
 def test_certificate_json_dict():
     m = IntMatrix.from_rows([[1, 0, 3], [0, 2, 5]])
     doc = is_surjective(m).to_dict()
-    assert doc["verdict"] == "surjective"
-    assert set(doc["prime_checks"]) == set(doc["factorization"])
+    assert doc["format"] == 2 and doc["verdict"] == "surjective"
+    assert doc["gcd_value"] == math.gcd(doc["determinant"], doc["determinant_alt"])
+    assert all(type(j) is int for s in doc.get("extra_columns", [[0]]) for j in s)
+    doc = is_surjective(IntMatrix.from_rows([[2, 4]])).to_dict()
+    assert doc == {"format": 2, "verdict": "not_surjective", "reason": "annihilator", "modulus": 2, "annihilator": [1]}
+    for removed in ("method", "factorization", "prime_checks", "prime", "rational_rank", "invariant_factors", "free_rank"):
+        assert removed not in doc
+
+
+# -- adversarial inputs against the Smith oracle ------------------------------
+
+# the largest 40-bit primes, paired into planted obstructions p * q
+PRIMES_40 = [p for p in range(2**40 - 1, 2**40 - 3000, -2) if is_probable_prime(p)][:6]
+
+# planted cokernels: a product of two 40-bit primes, and prime powers and
+# products whose elimination meets zero divisors with no coprime split
+PLANTED = [(p * q,) for p, q in zip(PRIMES_40[::2], PRIMES_40[1::2])]
+PLANTED += [(4,), (2, 2), (8,), (2, 4), (9,), (3, 3), (12,), (2, 6)]
+
+
+def unimodular(rng, n, lo=-3, hi=3):
+    """A random n x n integer array of determinant +-1: a unit lower times
+    a unit upper triangular factor, with its rows permuted."""
+    lower = [[1 if i == j else rng.randint(lo, hi) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(lo, hi) if j > i else 0 for j in range(n)] for i in range(n)]
+    product = np.array(lower, dtype=object) @ np.array(upper, dtype=object)
+    return product[rng.sample(range(n), n)]
+
+
+def planted(rng, n, m, diagonal):
+    """An n x m matrix with cokernel the sum of Z/d over the first n
+    entries d of `diagonal`: U diag(d) [I | R] V for unimodular U and V."""
+    d = list(diagonal[:n]) + [1] * (n - len(diagonal))
+    onto = np.hstack([np.eye(n, dtype=object), np.array([[rng.randint(-3, 3) for _ in range(m - n)] for _ in range(n)], dtype=object).reshape(n, m - n)])
+    a = unimodular(rng, n) @ np.diag(np.array(d, dtype=object)) @ onto @ unimodular(rng, m)
+    return IntMatrix.from_array(a)
+
+
+@st.composite
+def adversarial_matrices(draw):
+    kind = draw(st.sampled_from(["planted", "unimodular", "degenerate", "one_row", "near_square"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "planted":
+        n = draw(st.integers(1, 6))
+        return planted(rng, n, n + draw(st.integers(0, 2)), draw(st.sampled_from(PLANTED)))
+    if kind == "unimodular":
+        return IntMatrix.from_array(unimodular(rng, draw(st.integers(1, 8)), -9, 9))
+    if kind == "degenerate":
+        # a zero column and a copy of another column, at drawn places
+        n = draw(st.integers(1, 5))
+        rows = random_matrix(rng, n, n + draw(st.integers(0, 2)), -3, 3).array.tolist()
+        copied = draw(st.integers(0, len(rows[0]) - 1))
+        zero_at, copy_at = draw(st.integers(0, len(rows[0]))), draw(st.integers(0, len(rows[0]) + 1))
+        for row in rows:
+            value = row[copied]
+            row.insert(zero_at, 0)
+            row.insert(copy_at, value)
+        return IntMatrix.from_rows(rows)
+    if kind == "one_row":
+        return random_matrix(rng, 1, draw(st.integers(1, 6)), -12, 12)
+    n = draw(st.integers(1, 6))
+    return random_matrix(rng, n, n + 1)
+
+
+@given(adversarial_matrices())
+@example(planted(random.Random(0), 12, 14, PLANTED[0]))
+@example(planted(random.Random(1), 4, 5, (4,)))
+@example(planted(random.Random(2), 3, 3, (2, 6)))
+@settings(max_examples=80, deadline=None)
+def test_adversarial_matrices_match_smith_oracle(m):
+    trivial = cokernel(m).is_trivial
+    cert = certify_without_exact_tools(m)
+    assert cert.is_surjective == trivial
+    if not cert.is_surjective:
+        assert cert.determinant is None

@@ -69,7 +69,7 @@ def test_certify_not_surjective_exit_code(tmp_path):
     code, out, _ = run_cli(["certify", str(path)])
     assert code == 1
     doc = json.loads(out)
-    assert doc["prime"] == 2
+    assert doc["modulus"] == 2
 
 
 def test_snf_output(tmp_path):

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsurj import modp
-from latsurj.certifier import surjective_mod_p
 from latsurj.exact_linalg import IntMatrix, bareiss, cokernel_p_part, det_bareiss
 from latsurj.modp import (
     ColumnSpace,
+    NonUnitPivot,
     int_array,
     dets,
     echelon,
@@ -43,7 +43,7 @@ def test_reduce_mod_examples():
 
 def test_reduce_mod_rejects_composite():
     with pytest.raises(ValueError):
-        surjective_mod_p(IntMatrix.identity(2), 4)
+        ColumnSpace(4, 2)
 
 
 def test_rank_examples():
@@ -338,6 +338,40 @@ def test_kernel_vectors():
     a = np.random.default_rng(3).integers(0, p, size=(12, 13))
     x = kernel_vector(a, p)
     assert any(x) and not (a.astype(object) @ np.array(x, dtype=object) % p).any()
+
+
+def test_echelon_composite_modulus():
+    # unit pivots: 1, then 5 - 3 * 2 = -1 = 9 (mod 10)
+    e, pivots = echelon([[1, 2], [3, 5]], 10)
+    assert pivots == [0, 1] and e.tolist() == [[1, 2], [0, 9]]
+    # a first nonzero candidate that is a zero divisor splits the modulus
+    for a, n, d in (([[2, 1], [1, 1]], 6, 2), ([[1, 2], [3, 4]], 6, 2), ([[0, 9], [0, 3]], 12, 3)):
+        with pytest.raises(NonUnitPivot) as split:
+            echelon(a, n)
+        assert split.value.divisor == d
+    with pytest.raises(NonUnitPivot):
+        kernel_vector([[4, 1], [0, 1]], 2**70)  # object path
+    assert kernel_vector([[1, 2], [2, 4]], 15) == (13, 1)
+    assert left_kernel_vector([[1, 2], [2, 4]], 15) == (13, 1)
+
+    # either a proper divisor, or the rank modulo every prime factor at once
+    rng = random.Random(11)
+    for _ in range(300):
+        p, q = rng.sample([2, 3, 5, 7, 2**31 - 1], 2)
+        n = p * q * rng.choice([1, p])
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        try:
+            pivots = echelon(a, n)[1]
+        except NonUnitPivot as split:
+            assert 1 < split.divisor < n and n % split.divisor == 0
+            continue
+        assert len(pivots) == rank_mod_p(a, p) == rank_mod_p(a, q)
+        x = kernel_vector(a, n)
+        assert (x is None) == (len(pivots) == cols)
+        if x is not None:
+            assert x[next(j for j in range(cols) if j not in pivots)] == 1
+            assert not (np.array(a, dtype=object) @ np.array(x, dtype=object) % n).any()
 
 
 # -- column spaces ---------------------------------------------------------
