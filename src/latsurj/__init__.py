@@ -32,7 +32,7 @@ from .ensembles import (
     symmetrize,
 )
 from .certifier import Certificate, is_surjective, verify_certificate
-from .exposure import ExposureTrace, batch_size, epsilon_n, run_exposure, u_budget
+from .exposure import ExposureTrace, batch_size, run_exposure, u_budget
 from .predictions import (
     Prediction,
     corank_prediction,

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -282,7 +282,6 @@ def sample_matrix(spec: EnsembleSpec) -> IntMatrix:
     return IntMatrix.from_array(sample_array(spec))
 
 
-def sample_columns(dist: Distribution, n: int, count: int, gen: np.random.Generator) -> List[Tuple[int, ...]]:
-    """`count` fresh iid columns of height n, drawn column by column."""
-    draws = _draw_values(dist, n * count, gen)
-    return [tuple(int(x) for x in draws[k * n : (k + 1) * n]) for k in range(count)]
+def sample_columns(dist: Distribution, n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` fresh iid columns of height n, drawn column by column, as an (n, count) block."""
+    return _draw_values(dist, n * count, gen).reshape(count, n).T

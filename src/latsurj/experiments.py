@@ -373,22 +373,21 @@ def run_symmetric_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def run_exposure_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Repeated exposure runs; reports the within-budget success rate.
 
-    Each run starts from a square sample with nonzero determinant (a
-    singular start is resampled on a derived sub-seed and recorded).
+    Each run starts from a square sample with nonzero determinant (a singular
+    start is resampled on a derived sub-seed, at most 1000 times per trial).
     """
     alpha = alpha_min(cfg.dist)
     budget = u_budget(cfg.n, alpha, cfg.b)
     start = time.perf_counter()
 
     def worker(i: int) -> ExposureTrace:
-        attempt = 0
-        while True:
+        for attempt in range(1000):
             seed = derive_seed(cfg.master_seed, i * 1000 + attempt)
             spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, seed, m=cfg.n)
             m0 = sample_matrix(spec)
             if not det_is_zero(m0):
                 return run_exposure(m0, cfg.dist, cfg.b, seed=derive_seed(seed, 1), alpha=alpha)
-            attempt += 1
+        raise RuntimeError(f"exposure trial {i}: all 1000 starting matrices were singular")
 
     traces: List[ExposureTrace] = _map_trials(cfg.trials, worker, cfg.threads)
     within = sum(1 for t in traces if t.achieved and t.total_extra_columns <= budget)

@@ -5,7 +5,9 @@ batches until the column space is full modulo every tracked prime (the
 prime divisors of the starting determinant, or an explicit list).  Batch
 sizes follow the ceil(B*log n / (alpha * d)) schedule, where d is the
 smallest positive corank among the tracked primes, so each batch is large
-enough for every prime still missing dimensions.  All logarithms here are
+enough for every prime still missing dimensions.  Each batch extends each
+prime's :class:`~latsurj.modp.ColumnSpace` (the annihilator of the columns
+so far) once, as one int64 block.  All logarithms here are
 natural; the schedule constant B absorbs the base.
 """
 
@@ -21,22 +23,12 @@ import numpy as np
 from . import primes as _primes
 from .ensembles import Distribution, _generator, alpha_min, sample_columns
 from .exact_linalg import IntMatrix, det, smith_diagonal
-from .modp import ColumnSpace, int_array
+from .modp import ColumnSpace
 
 DIVISORS_OF_DET = "divisors_of_det"
 EXPLICIT = "explicit"
 
 DEFAULT_CAP_FACTOR = 10
-
-
-def epsilon_n(n: int, alpha: Fraction | float) -> float:
-    """sqrt(3 log n / (alpha n)); below 1 in the regime the bounds need."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    a = float(alpha)
-    if not 0 < a < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return math.sqrt(3 * math.log(n) / (a * n))
 
 
 def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
@@ -150,9 +142,6 @@ def run_exposure(
     elif prime_source == EXPLICIT:
         if not primes:
             raise ValueError("explicit prime source needs a prime list")
-        for p in primes:
-            if not _primes.is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
         tracked = tuple(sorted(set(primes)))
     else:
         raise ValueError(f"unknown prime source {prime_source!r}")
@@ -167,7 +156,7 @@ def run_exposure(
     gen = _generator(seed)
     batch_sizes: List[int] = []
     batch_d_prev: List[int] = []
-    extra_columns: List[Tuple[int, ...]] = []
+    blocks: List[np.ndarray] = []
     consumed = 0
 
     while any(d > 0 for d in coranks.values()):
@@ -177,21 +166,19 @@ def run_exposure(
             break
         batch_d_prev.append(d_prev)
         batch_sizes.append(k)
-        for col in sample_columns(dist, n, k, gen):
-            extra_columns.append(col)
-            for p in tracked:
-                if coranks[p] > 0:
-                    space = spaces[p].extend(col)
-                    if space.dimension > spaces[p].dimension:
-                        spaces[p] = space
-                        coranks[p] = n - space.dimension
+        block = sample_columns(dist, n, k, gen)
+        blocks.append(block)
+        for p in tracked:
+            if coranks[p] > 0:
+                spaces[p] = spaces[p].extend(block)
+                coranks[p] = n - spaces[p].dimension
         consumed += k
         for p in tracked:
             trajectories[p].append(coranks[p])
 
     final = m0
-    if extra_columns:
-        final = IntMatrix.from_array(np.hstack([m0.array, int_array(extra_columns).T]))
+    if blocks:
+        final = IntMatrix.from_array(np.hstack([m0.array, *blocks]))
     return ExposureTrace(
         primes=tracked,
         trajectories={p: tuple(t) for p, t in trajectories.items()},

@@ -2,7 +2,7 @@
 
 One elimination kernel, :func:`echelon`, serves every whole-matrix
 operation but the determinant: rank, greedy pivot columns and kernel
-vectors are all read off its row echelon form.  It runs the same numpy
+bases are all read off its row echelon form.  It runs the same numpy
 code on an int64 array for word-size moduli (below 2^31, so a product of
 two residues fits in int64) and on an object array of Python integers
 beyond, which the certifier needs when it eliminates modulo a huge gcd of
@@ -10,10 +10,10 @@ minors.  The modulus may be composite: while every pivot is a unit the
 elimination is valid modulo every prime factor at once, and a pivot that
 is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
 the modulus.  Determinants mod p come from one stacked kernel, :func:`dets`,
-which eliminates a (k, n, n) stack with its own prime per slice and
-reduces the trailing block only every few columns.  Stacks of matrices
-mod 2 have their own bit-packed kernel (:func:`gf2_ranks`), and
-:class:`ColumnSpace` keeps a reduced basis that grows one column at a time.
+which eliminates a (k, n, n) stack with its own prime per slice; both
+kernels reduce the trailing block only every few columns.  Stacks of
+matrices mod 2 have their own bit-packed kernel (:func:`gf2_ranks`), and
+:class:`ColumnSpace` holds a growing span as its annihilator.
 """
 
 from __future__ import annotations
@@ -92,16 +92,21 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
     columns of a, so len(pivots) is the rank.  For composite p every
     pivot is a unit, so the same holds modulo each prime factor of p; the
     first nonzero pivot candidate that is not a unit raises NonUnitPivot.
-    The caller's array is never modified.
+    The caller's array is never modified.  As in :func:`dets`, the block is
+    reduced every _lazy_columns(p) updates and the pivot column and row when read.
     """
     e = _residues(a, p, np.int64 if p < _WORD_LIMIT else object)
     rows, cols = e.shape
+    lazy = _lazy_columns(p)
     pivots: List[int] = []
     for c in range(cols):
-        r = len(pivots)
+        r = len(pivots)  # also the updates so far, of which r % lazy are unreduced
         if r == rows:
             break
-        nz = e[r:, c].nonzero()[0]
+        column = e[r:, c]
+        if r % lazy:
+            column %= p
+        nz = column.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -111,24 +116,28 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
             inverse = pow(int(e[r, c]), -1, p)
         except ValueError:
             raise NonUnitPivot(math.gcd(int(e[r, c]), p)) from None
+        row = e[r, c + 1 :]
+        if r % lazy:
+            row %= p
         factors = e[r + 1 :, c] * inverse % p
         e[r + 1 :, c] = 0
         block = e[r + 1 :, c + 1 :]
-        block -= factors[:, None] * e[r, c + 1 :]
-        block %= p
+        block -= factors[:, None] * row
+        if (r + 1) % lazy == 0:
+            block %= p
         pivots.append(c)
     return e, pivots
 
 
 def _lazy_columns(p: int) -> int:
-    """Columns of updates an int64 trailing block mod p takes unreduced.
+    """Columns of updates a trailing block mod p takes unreduced.
 
     A reduced entry lies in [0, p) and each column subtracts one product
-    of two residues, at most (p - 1)^2, so L columns stay above -2^63
-    while L * (p - 1)^2 <= 2^63 - 1 - p.  For the CRT primes just below
-    2^30, L is 8.
+    of two residues, at most (p - 1)^2, so L int64 columns stay above -2^63
+    while L * (p - 1)^2 <= 2^63 - 1 - p: 8 for the CRT primes below 2^30.
+    Python ints (p >= 2^31) only grow a few bits in 8 columns.
     """
-    return (2**63 - 1 - p) // (p - 1) ** 2
+    return (2**63 - 1 - p) // (p - 1) ** 2 if p < _WORD_LIMIT else 8
 
 
 def dets(stack, primes: Sequence[int]) -> np.ndarray:
@@ -185,25 +194,34 @@ def rank_mod_p(a, p: int) -> int:
     return len(echelon(a, p)[1])
 
 
-def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """One nonzero x with a @ x = 0 over Z/p, or None if a is injective.
+def kernel_basis(a, p: int) -> np.ndarray:
+    """A basis of the x with a @ x = 0 over Z/p, one row per free column.
 
-    x is 1 at the first free column and 0 at the later free columns; its
-    pivot entries follow by back-substitution on the echelon form, whose
-    pivots are units.  A composite p can raise NonUnitPivot, as in echelon.
+    Row t is 1 at the t-th free column of :func:`echelon` and 0 at the
+    others; all rows back-substitute together, reduced like echelon.  A
+    composite p can raise NonUnitPivot, as in echelon.
     """
     e, pivots = echelon(a, p)
-    cols = e.shape[1]
-    # pivots increase, so the first free column is the first j with pivots[j] != j
-    free = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
-    if free == cols:
-        return None
-    x = np.zeros(cols, dtype=e.dtype)
-    x[free] = 1
-    for i in range(free - 1, -1, -1):  # row i has its pivot in column i
-        s = int((e[i, i + 1 : free + 1] * x[i + 1 : free + 1] % p).sum())
-        x[i] = -s * pow(int(e[i, i]), -1, p) % p
-    return tuple(int(v) for v in x)
+    free = sorted(set(range(e.shape[1])) - set(pivots))
+    x = np.zeros((len(free), e.shape[1]), dtype=e.dtype)
+    x[range(len(free)), free] = 1
+    # pivot rows past the last free column solve to 0 in every row of x
+    rank = bisect.bisect(pivots, free[-1]) if free else 0
+    # sums[i, t] is row i of e times the part of x[t] solved so far
+    sums = e[:rank, free]
+    for i in range(rank - 1, -1, -1):
+        c = pivots[i]
+        x[:, c] = -(sums[i] % p) * pow(int(e[i, c]), -1, p) % p
+        sums[:i] += e[:i, c, None] * x[:, c]
+        if (rank - i) % _lazy_columns(p) == 0:
+            sums[:i] %= p
+    return x
+
+
+def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
+    """The first row of :func:`kernel_basis` as a tuple, or None if a is injective."""
+    basis = kernel_basis(a, p)
+    return tuple(int(v) for v in basis[0]) if len(basis) else None
 
 
 def left_kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
@@ -266,77 +284,67 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
 # -- incremental column spaces ------------------------------------------
 
 
-class ColumnSpace:
-    """Persistent reduced-echelon span of column vectors over F_p.
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays (int64 with p < 2^31, or objects).  Where
+    m * (p - 1)^2 could pass 2^63 (m = a.shape[1] < 2^15), a is split into
+    16-bit halves, whose sums of products stay below 2^62."""
+    if a.dtype == object or a.shape[1] * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    return ((a >> 16) @ b % p * 2**16 + (a & 0xFFFF) @ b) % p
 
-    The basis is kept fully reduced with unit pivots, so membership of x
-    reduces to one matrix-vector product: x is in the span iff
-    x == sum_i x[pivot_i] * basis_i.  Extension returns a new value.
-    The basis is int64 while that product cannot overflow, that is while
-    ambient * (p - 1)^2 < 2^63, and an object array of Python ints beyond.
+
+class ColumnSpace:
+    """Persistent span of column vectors over F_p, held as its annihilator.
+
+    K is a (corank, ambient) basis of the rows y with y @ x = 0 for all x
+    in the span: x is inside iff K @ x = 0.  Extending by columns X keeps
+    y @ K for a left-kernel basis y of K @ X, a few short rows.  K is
+    int64 for p < 2^31 and Python ints beyond, like :func:`echelon`.
     """
 
-    __slots__ = ("modulus", "ambient", "_pivots", "_basis")
+    __slots__ = ("modulus", "ambient", "_kernel")
 
-    def __init__(self, modulus: int, ambient: int, _pivots: Tuple[int, ...] = (), _basis=None):
-        if _basis is None:
+    def __init__(self, modulus: int, ambient: int, _kernel=None):
+        if _kernel is None:
             if not _primes.is_probable_prime(modulus):
                 raise ValueError(f"{modulus} is not prime")
-            if ambient < 1:
-                raise ValueError("ambient dimension must be positive")
-            dtype = np.int64 if ambient * (modulus - 1) ** 2 < 2**63 else object
-            _basis = np.zeros((0, ambient), dtype=dtype)
+            if not 1 <= ambient < 2**15:
+                raise ValueError("ambient dimension must lie in [1, 2^15)")
+            _kernel = np.eye(ambient, dtype=np.int64 if modulus < _WORD_LIMIT else object)
+        _kernel.setflags(write=False)
         self.modulus = modulus
         self.ambient = ambient
-        self._pivots = _pivots
-        self._basis = _basis
+        self._kernel = _kernel
 
     @property
     def dimension(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivots(self) -> Tuple[int, ...]:
-        return self._pivots
-
-    def basis_rows(self) -> List[Tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in self._basis]
+        return self.ambient - self._kernel.shape[0]
 
     @classmethod
-    def from_columns(cls, modulus: int, columns: Sequence[Sequence[int]], ambient: int) -> "ColumnSpace":
+    def from_columns(cls, modulus: int, columns, ambient: int) -> "ColumnSpace":
+        """Span of the given columns: vectors, or the rows of an array."""
         space = cls(modulus, ambient)
-        for col in columns:
-            space = space.extend(col)
-        return space
+        columns = int_array(columns)
+        return cls(modulus, ambient, kernel_basis(space._columns(columns.T).T, modulus)) if columns.size else space
 
-    def _residual(self, x: Sequence[int]) -> np.ndarray:
-        if len(x) != self.ambient:
-            raise ValueError(
-                f"vector length {len(x)} does not match ambient dimension {self.ambient}"
-            )
-        vec = _residues(x, self.modulus, self._basis.dtype)
-        if self.dimension == 0:
-            return vec
-        coeffs = vec[list(self._pivots)]
-        return (vec - coeffs @ self._basis) % self.modulus
+    def _columns(self, x) -> np.ndarray:
+        """x, a vector or an (ambient, k) block, with one column per vector."""
+        x = int_array(x)
+        x = x[:, None] if x.ndim == 1 else x
+        if x.ndim != 2 or x.shape[0] != self.ambient:
+            raise ValueError(f"vector length {x.shape[0]} does not match ambient dimension {self.ambient}")
+        return x
 
     def contains(self, x: Sequence[int]) -> bool:
-        return not self._residual(x).any()
+        return self.extend(x) is self
 
-    def extend(self, x: Sequence[int]) -> "ColumnSpace":
-        """Span of self and x; dimension grows by one iff x is outside."""
+    def extend(self, x) -> "ColumnSpace":
+        """Span of self and x, a vector or an (ambient, k) block of columns."""
         p = self.modulus
-        r = self._residual(x)
-        nz = r.nonzero()[0]
-        if nz.size == 0:
+        product = _dot(self._kernel, _residues(self._columns(x), p, self._kernel.dtype), p)
+        if not product.any():
             return self
-        j = int(nz[0])
-        new_row = r * pow(int(r[j]), -1, p) % p
-        basis = (self._basis - np.outer(self._basis[:, j], new_row)) % p
-        at = bisect.bisect(self._pivots, j)
-        basis = np.insert(basis, at, new_row, axis=0)
-        basis.setflags(write=False)
-        return ColumnSpace(p, self.ambient, self._pivots[:at] + (j,) + self._pivots[at:], basis)
+        return ColumnSpace(p, self.ambient, _dot(kernel_basis(product.T, p), self._kernel, p))
 
 
 # -- subspace enumeration ------------------------------------------------

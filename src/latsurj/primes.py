@@ -1,7 +1,8 @@
 """Primality testing, prime generation, and bounded integer factorization.
 
 The factorizer is deliberately budgeted: trial division up to a fixed limit,
-then Brent-style Pollard rho with a bounded iteration count.  The exposure
+then Brent-style Pollard rho with a bounded iteration count; trial division
+is one numpy pass over an int64 array of the primes.  The exposure
 simulator, which tracks the primes of a determinant, catches
 :class:`FactorizationError` and falls back to factoring the Smith diagonal;
 the certifier needs no factoring and no primality test.  The CRT primes
@@ -17,6 +18,8 @@ import threading
 from functools import lru_cache
 from typing import Dict, List
 
+import numpy as np
+
 TRIAL_DIVISION_LIMIT = 10**6
 RHO_ITERATION_BUDGET = 2_000_000
 
@@ -25,21 +28,17 @@ class FactorizationError(Exception):
     """A cofactor resisted the factoring budget."""
 
 
-def sieve_primes(limit: int) -> List[int]:
-    """All primes <= limit via a sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(sieve) if f]
-
-
 @lru_cache(maxsize=1)
-def _trial_primes() -> List[int]:
-    return sieve_primes(TRIAL_DIVISION_LIMIT)
+def _trial_primes() -> np.ndarray:
+    """The primes up to TRIAL_DIVISION_LIMIT, ascending: a read-only int64 sieve."""
+    sieve = np.ones(TRIAL_DIVISION_LIMIT + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(TRIAL_DIVISION_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve).astype(np.int64)
+    primes.setflags(write=False)
+    return primes
 
 
 # Deterministic Miller-Rabin witness set: the first 13 primes decide
@@ -119,15 +118,23 @@ def factorize(n: int, rho_budget: int = RHO_ITERATION_BUDGET) -> Dict[int, int]:
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
+    # n mod all trial primes up to sqrt(n) by Horner's rule, in place, over a top limb
+    # below 2^62, then 42-bit limbs: a remainder (< 2^20) shifted by one limb stays < 2^63
+    primes = _trial_primes()
+    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    low = -(-max(n.bit_length() - 62, 0) // 42) * 42
+    rest = np.remainder(n >> low, primes)
+    for shift in range(low - 42, -1, -42):
+        rest <<= 42
+        rest += (n >> shift) & (2**42 - 1)
+        np.remainder(rest, primes, out=rest)
     factors: Dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
-            break
+    for p in primes[rest == 0].tolist():
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     if n > 1 and n <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
-        # trial division reached sqrt(n), so the cofactor is prime
+        # no prime up to min(sqrt(n), the limit) divides n, so n is prime
         factors[n] = factors.get(n, 0) + 1
         return factors
 

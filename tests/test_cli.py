@@ -207,6 +207,11 @@ def test_exposure_csv_rows_per_run():
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
+def test_exposure_without_a_nonsingular_start_exits_2():
+    code, _, err = run_cli(["experiment", "exposure", "--n", "3", "--dist", "bernoulli(1/1000000)", "--trials", "1"])
+    assert code == 2 and "all 1000 starting matrices were singular" in err
+
+
 def test_fourier_check_command():
     code, out, _ = run_cli(
         ["fourier", "check", "--q", "3", "--mu", "1/2,1/2,0", "--w", "1,1,1,1",

@@ -11,6 +11,7 @@ from latsurj.ensembles import (
     EnsembleSpec,
     derive_seed,
     sample_array,
+    sparse_bernoulli,
 )
 from latsurj.exact_linalg import IntMatrix
 from latsurj import experiments
@@ -139,6 +140,24 @@ def test_exposure_experiment_traces_and_rows():
             assert all(a >= b for a, b in zip(traj, traj[1:]))
         if t.achieved:
             assert is_surjective(t.final_matrix).is_surjective
+
+
+def test_exposure_resampling_is_bounded():
+    # a 3 x 3 start with P(1) = 1/3 is often singular: resampled starts keep
+    # the seed of attempt a of trial i, derive_seed(master, 1000 * i + a)
+    cfg = ExperimentConfig(EXPOSURE, n=3, trials=6, master_seed=4, dist=sparse_bernoulli("1/3"), b=1.0)
+    attempts = []
+    for i, trace in enumerate(run_experiment(cfg).artifacts["traces"]):
+        seeds = [derive_seed(4, 1000 * i + a) for a in range(1000)]
+        attempts.append([derive_seed(s, 1) for s in seeds].index(trace.seed))
+        start = sample_array(EnsembleSpec("iid_rect", 3, cfg.dist, seeds[attempts[-1]], m=3))
+        assert rank_mod_p(start, 1_000_000_007) == 3
+    assert max(attempts) > 0
+    # with P(1) = 10^-6 a start is singular but for odds below 10^-16: the
+    # trial stops after 1000 attempts instead of looping forever
+    nearly_zero = replace(cfg, trials=2, dist=sparse_bernoulli(Fraction(1, 10**6)))
+    with pytest.raises(RuntimeError, match="trial 0: all 1000"):
+        run_experiment(nearly_zero)
 
 
 def test_symmetric_experiment_rejects_asymmetric_sample(monkeypatch):

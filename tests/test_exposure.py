@@ -2,25 +2,25 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsurj.certifier import is_surjective
 from latsurj.ensembles import Distribution, EnsembleSpec, derive_seed, sample_matrix
-from latsurj.exact_linalg import IntMatrix, cokernel_p_part
-from latsurj.exposure import batch_size, epsilon_n, run_exposure, u_budget
+from latsurj.exact_linalg import IntMatrix, cokernel_p_part, det
+from latsurj.modp import ColumnSpace, rank_mod_p
+from latsurj.exposure import batch_size, run_exposure, u_budget
 
 U01 = Distribution.uniform([0, 1])
-
-
-def test_epsilon_n_values():
-    assert epsilon_n(100, Fraction(1, 2)) == pytest.approx(0.5257, abs=1e-4)
-    # alpha scaling: halving alpha multiplies the value by sqrt(2)
-    a = epsilon_n(200, Fraction(1, 2))
-    assert a / epsilon_n(200, 1 - 1e-12) == pytest.approx(math.sqrt(2), rel=1e-6)
-    # boundary: 3 ln n = alpha * n gives exactly 1
-    n = 100
-    alpha = 3 * math.log(n) / n
-    assert epsilon_n(n, alpha) == pytest.approx(1.0, abs=1e-12)
+LAWS = {
+    "uniform01": U01,
+    "uniform-1,0,1": Distribution.uniform([-1, 0, 1]),
+    "sparse": Distribution(((0, Fraction(4, 5)), (1, Fraction(1, 10)), (-1, Fraction(1, 10)))),
+}
+# the largest int64 path, the smallest object path, and a 61-bit prime
+EXPLICIT_PRIMES = (2, 3, 2**31 - 1, 2**31 + 11, 2**61 - 1)
 
 
 def test_batch_size_values():
@@ -156,3 +156,45 @@ def test_csv_row_shape():
     assert len(fields) == 5
     assert fields[0] == "6"
     assert fields[4] in {"0", "1"}
+
+
+@given(
+    st.integers(3, 12),
+    st.sampled_from(sorted(LAWS)),
+    st.sampled_from(["divisors_of_det", "explicit"]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_trajectories_match_prefix_ranks(n, law, source, seed):
+    """trajectory[p][i] is n minus the rank mod p of the columns of the
+    final matrix up to the end of batch i."""
+    dist = LAWS[law]
+    m0 = sample_matrix(EnsembleSpec("iid_rect", n, dist, derive_seed(seed, 0), m=n))
+    if source == "divisors_of_det" and det(m0) == 0:
+        source = "explicit"  # a singular start has no prime divisors to track
+    primes = EXPLICIT_PRIMES if source == "explicit" else None
+    trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), prime_source=source, primes=primes)
+    final = trace.final_matrix.array
+    ends = np.cumsum((n,) + trace.batch_sizes)
+    for p, traj in trace.trajectories.items():
+        assert len(traj) == len(ends)
+        assert list(traj) == [n - rank_mod_p(final[:, :end], p) for end in ends]
+
+
+@given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EXPLICIT_PRIMES + (5,)), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_block_and_vector_extension_match_rank(n, k, p, seed):
+    rng = np.random.default_rng(seed)
+    # a few distinct columns, repeated and combined, so that many add nothing
+    base = rng.integers(-2, 3, size=(n, max(1, n // 2)))
+    cols = base @ rng.integers(-1, 2, size=(base.shape[1], k))
+    cols[:, ::3] = rng.choice([-1, 0, 1, 2**40], size=(n, len(range(0, k, 3))))
+    split = rng.integers(0, k + 1)
+    by_block = ColumnSpace.from_columns(p, cols[:, :split].T, n).extend(cols[:, split:])
+    by_vector = ColumnSpace(p, n)
+    for j in range(k):
+        by_vector = by_vector.extend(cols[:, j])
+        assert by_vector.dimension == rank_mod_p(cols[:, : j + 1], p)
+    assert by_block.dimension == by_vector.dimension
+    assert all(by_block.contains(c) and by_vector.contains(c) for c in cols.T)
+    assert all(by_block.contains(c) == by_vector.contains(c) for c in rng.integers(-3, 4, size=(5, n)))

@@ -267,6 +267,25 @@ def test_dets_lazy_reduction_worst_case(monkeypatch):
     assert dets(a[None], [p]).tolist() != [1]
 
 
+@pytest.mark.parametrize("p", [CRT[0], 2**31 - 1, 65537])
+def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
+    lazy = modp._lazy_columns(p)
+    n = min(lazy + 4, 40)  # more than L + 1 columns of updates
+    a = _worst_case_growth(n)
+    upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
+    # a free last column whose kernel vector is -1 at every pivot, so the
+    # back-substitution also adds (p - 1)^2 to every sum in every step
+    a = np.hstack([a, upper.T @ upper.sum(axis=1, keepdims=True)])
+    e, pivots = echelon(a, p)
+    assert pivots == list(range(n))
+    assert e[:, :n].tolist() == (upper % p).tolist()
+    assert modp.kernel_basis(a, p).tolist() == [[p - 1] * n + [1]]
+    if lazy + 1 < n:
+        # one more update between reductions passes 2^63 and wraps
+        monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
+        assert echelon(a, p)[0][:, :n].tolist() != (upper % p).tolist()
+
+
 def test_dets_shapes():
     assert dets(np.zeros((0, 3, 3), dtype=np.int64), []).tolist() == []
     assert dets([[[7]]], [5]).tolist() == [2]
@@ -407,10 +426,10 @@ def test_extend_is_persistent_and_idempotent():
     s2 = s.extend((4, 5, 6))
     assert s.dimension == 1 and s2.dimension == 2
     # vectors already inside never change the value
-    again = s2.extend((1, 2, 3)).extend((4, 5, 6))
-    assert again.dimension == 2
-    assert again.pivots == s2.pivots
-    assert again.basis_rows() == s2.basis_rows()
+    assert not s.contains((4, 5, 6)) and s2.contains((4, 5, 6))
+    again = s2.extend((1, 2, 3)).extend((4, 5, 6)).extend(np.array([[1, 4], [2, 5], [3, 6]]))
+    assert again is s2
+    assert s.extend((0, 0, 0)) is s
 
 
 @given(st.integers(0, 1000), st.sampled_from([2, 3, 5]), st.integers(2, 5))
