@@ -8,8 +8,10 @@ that is a zero divisor splits g by a gcd (dynamic evaluation, the D5
 principle of Della Dora, Dicrescenzo and Duval), and each part is settled
 on its own, smallest first: full rank modulo a part gives a column set
 whose minor is a unit modulo that part, and lower rank gives a row vector
-that annihilates M modulo that part.  No step factors an integer or tests
-one for primality.
+that annihilates M modulo that part.  A square M takes det M and a few
+rows of its adjugate from one CRT elimination instead: a row nonzero
+modulo |det M| annihilates M modulo |det M|.  No step factors an integer
+or tests one for primality.
 
 Every verdict ships inside a :class:`Certificate` that
 :func:`verify_certificate` re-checks from scratch with exact minors or one
@@ -27,7 +29,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, dets_mod_crt
+from .exact_linalg import IntMatrix, adjugate_rows, dets_mod_crt
 from .modp import NonUnitPivot, echelon, left_kernel_vector
 
 # Never called here.  The benchmark's per-layer trace still wraps these two
@@ -150,13 +152,31 @@ def _annihilator(a: np.ndarray, n: int) -> Certificate:
     return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=modulus, annihilator=w)
 
 
+def _certify_square(a: np.ndarray) -> Certificate:
+    """The certificate of a square M from det M = d and rows of adj(M):
+    w M = d e_j, so a row w != 0 modulo g = |d| > 1 annihilates M modulo g."""
+    d, rows = adjugate_rows(a)
+    if d % _PIVOT_PRIME == 0:
+        # rank below rows modulo the pivot prime, as for any other shape
+        return _annihilator(a, _PIVOT_PRIME)
+    g = abs(d)
+    if g == 1:
+        return Certificate(verdict=SURJECTIVE, columns=tuple(range(len(a))), determinant=d, gcd_value=1)
+    for w in rows % g:
+        if w.any():
+            return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=g, annihilator=tuple(w.tolist()))
+    return _annihilator(a, g)
+
+
 def is_surjective(m: IntMatrix) -> Certificate:
     """Decide surjectivity of M: Z^cols -> Z^rows with a certificate."""
     if m.cols < m.rows:
         return Certificate(verdict=NOT_SURJECTIVE, reason="shape")
 
-    # rank below rows modulo the pivot prime already rules surjectivity out
     a = m.array
+    if m.is_square:
+        return _certify_square(a)
+    # rank below rows modulo the pivot prime already rules surjectivity out
     pivots = echelon(a, _PIVOT_PRIME)[1]
     if len(pivots) < m.rows:
         return _annihilator(a, _PIVOT_PRIME)
@@ -179,10 +199,6 @@ def is_surjective(m: IntMatrix) -> Certificate:
             break
 
     g = math.gcd(d1, d2) if d2 is not None else abs(d1)
-    if m.is_square and g > 1:
-        # M is singular modulo every prime of |det|: skip straight to the
-        # left kernel, which would otherwise repeat the elimination mod g
-        return _annihilator(a, g)
     extra: List[Tuple[int, ...]] = []
     for q, part_pivots in _parts(g, lambda q: echelon(a, q)[1]):
         if len(part_pivots) < m.rows:

@@ -4,7 +4,8 @@ Provides the immutable :class:`IntMatrix` over one read-only ndarray,
 fraction-free (Bareiss) elimination for the rational rank, pivot columns
 and small determinants, CRT determinants whose primes (enough for their
 product to pass twice the row-norm Hadamard bound) are eliminated
-together as one stack by :func:`latsurj.modp.dets`, Smith normal form
+together as one stack by :func:`latsurj.modp.dets`, a determinant with a
+few rows of the adjugate from the same kind of stack, Smith normal form
 with unimodular transforms, and cokernel structure extraction.
 """
 
@@ -17,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import primes as _primes
-from .modp import dets, int_array
+from .modp import det_solve, dets, int_array
 
 
 class IntMatrix:
@@ -226,13 +227,35 @@ def dets_mod_crt(arrays: Sequence) -> List[int]:
     return [_lift(ps, [next(residues) for _ in ps]) for ps in plans]
 
 
-def _lift(primes: Sequence[int], residues: Sequence[int]) -> int:
-    """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t]."""
+def _lift(primes: Sequence[int], residues):
+    """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t];
+    residues may also be object arrays, lifted entrywise."""
     x, modulus = 0, 1
     for p, r in zip(primes, residues):
-        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+        x = x + modulus * ((r - x) * pow(modulus, -1, p) % p)
         modulus *= p
-    return x - modulus if x > modulus // 2 else x
+    return (x + modulus // 2) % modulus - modulus // 2
+
+
+# rows of adj(a) that adjugate_rows computes, counted from the last
+ADJUGATE_ROWS = 4
+
+
+def adjugate_rows(a) -> Tuple[int, np.ndarray]:
+    """det(a) and the last ADJUGATE_ROWS rows of adj(a), an object array, from
+    one stacked CRT elimination: rows J of adj(a) are det z^T for the z
+    with a^T z = the unit columns J.  The entries are cofactors, within
+    the Hadamard bound of a^T when it is nonsingular.  No rows come back
+    when a CRT prime divides det(a), 0 included."""
+    t = _square(a).T
+    block = np.hstack([t, np.eye(len(t), dtype=np.int64)[:, max(len(t) - ADJUGATE_ROWS, 0) :]])
+    primes = _crt_primes(t)
+    # stacks of at most _STACK_BYTES, as in _stacked_dets
+    size = max(1, _STACK_BYTES // (8 * block.size))
+    chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
+    residues, solutions = (np.concatenate(x) for x in zip(*[det_solve(np.stack([block] * len(c)), c) for c in chunks]))
+    rows = _lift(primes, solutions.astype(object)).T if residues.all() else np.zeros((0, len(t)), dtype=object)
+    return _lift(primes, residues.tolist()), rows
 
 
 def det_mod_crt(m: IntMatrix) -> int:

@@ -33,7 +33,7 @@ from .ensembles import (
     sample_matrix,
 )
 from .exact_linalg import det_is_zero
-from .exposure import ExposureTrace, run_exposure, u_budget
+from .exposure import ExposureTrace, SingularStart, run_exposure, u_budget
 from .modp import gf2_ranks, pack_gf2, ranks_mod_p
 from .predictions import (
     Prediction,
@@ -384,9 +384,10 @@ def run_exposure_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for attempt in range(1000):
             seed = derive_seed(cfg.master_seed, i * 1000 + attempt)
             spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, seed, m=cfg.n)
-            m0 = sample_matrix(spec)
-            if not det_is_zero(m0):
-                return run_exposure(m0, cfg.dist, cfg.b, seed=derive_seed(seed, 1), alpha=alpha)
+            try:
+                return run_exposure(sample_matrix(spec), cfg.dist, cfg.b, seed=derive_seed(seed, 1), alpha=alpha)
+            except SingularStart:
+                continue
         raise RuntimeError(f"exposure trial {i}: all 1000 starting matrices were singular")
 
     traces: List[ExposureTrace] = _map_trials(cfg.trials, worker, cfg.threads)

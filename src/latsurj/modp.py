@@ -9,11 +9,13 @@ beyond, which the certifier needs when it eliminates modulo a huge gcd of
 minors.  The modulus may be composite: while every pivot is a unit the
 elimination is valid modulo every prime factor at once, and a pivot that
 is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
-the modulus.  Determinants mod p come from one stacked kernel, :func:`dets`,
-which eliminates a (k, n, n) stack with its own prime per slice; both
-kernels reduce the trailing block only every few columns.  Stacks of
-matrices mod 2 have their own bit-packed kernel (:func:`gf2_ranks`), and
-:class:`ColumnSpace` holds a growing span as its annihilator.
+the modulus.  Determinants mod p come from one stacked kernel,
+:func:`det_solve`, which eliminates a (k, n, n + s) stack [A | B] with its
+own prime per slice and also gives det A * A^-1 B (:func:`dets` is its
+s = 0 case); both kernels reduce the trailing block only every few
+columns.  Stacks of matrices mod 2 have their own bit-packed kernel
+(:func:`gf2_ranks`), and :class:`ColumnSpace` holds a growing span as its
+annihilator.
 """
 
 from __future__ import annotations
@@ -141,36 +143,48 @@ def _lazy_columns(p: int) -> int:
 
 
 def dets(stack, primes: Sequence[int]) -> np.ndarray:
-    """det(stack[t]) mod primes[t] for a (k, n, n) integer stack, as an array of k residues.
+    """det(stack[t]) mod primes[t] for a (k, n, n) integer stack, as an
+    array of k residues: :func:`det_solve` with no right-hand sides."""
+    a = int_array(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("need a (k, n, n) stack and one prime per slice")
+    return det_solve(a, primes)[0]
+
+
+def det_solve(stack, primes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(det A, det A * A^-1 B) mod primes[t] for each slice [A | B] of a (k, n, n + s) stack.
 
     All slices share one loop over columns.  In each column every slice
     takes its first row with a nonzero residue as pivot, and only the
-    pivot column and the pivot row are reduced mod p.  The trailing block
-    gets plain multiply-subtract and is reduced every L columns, with L
-    from the largest prime (:func:`_lazy_columns`).  Slices are int64
-    while every prime is below 2^31; beyond, they hold Python ints and
-    are reduced every column.  The caller's array is never modified.
+    pivot column and the pivot row are reduced mod p.  The trailing block,
+    B included, gets plain multiply-subtract and is reduced every L
+    columns, with L from the largest prime (:func:`_lazy_columns`); with
+    s > 0 the pivot rows are kept for one back-substitution, reduced
+    alike.  A slice with det 0 mod p solves to 0.  Slices are int64 while
+    every prime is below 2^31, Python ints reduced every column beyond.
     """
     primes = [operator.index(p) for p in primes]
     top = max(primes, default=2)
     word = top < _WORD_LIMIT
     a = int_array(stack)
-    if a.ndim != 3 or a.shape != (len(primes), a.shape[1], a.shape[1]):
-        raise ValueError("need a (k, n, n) stack and one prime per slice")
+    if a.ndim != 3 or a.shape[0] != len(primes) or a.shape[2] < a.shape[1]:
+        raise ValueError("need a (k, n, n + s) stack and one prime per slice")
     q = np.array(primes, dtype=np.int64 if word else object)
     qs, qc = q[:, None, None], q[:, None]
     # e is the trailing block: each column step drops its first row and column
     e = _residues(a, qs, q.dtype)
-    k, n, _ = e.shape
+    k, n, width = e.shape
     lazy = _lazy_columns(top) if word else 1
     slices = np.arange(k)
     det = np.ones(k, dtype=e.dtype)
+    # u[:, c] is the pivot row of column c over its pivot, when s > 0
+    u = np.zeros((k, n, width if width > n else 0), dtype=e.dtype)
     for c in range(n):
         col = e[:, :, 0] % qc
         i = (col != 0).argmax(axis=1)
         pivot = col[slices, i]
         det = det * pivot % q
-        if c == n - 1:
+        if c == n - 1 and width == n:
             break
         row = e[:, 0, 1:]
         if i.any():
@@ -180,13 +194,23 @@ def dets(stack, primes: Sequence[int]) -> np.ndarray:
             e[slices, i, 1:] = e[:, 0, 1:]
             col[slices, i] = col[:, 0]
         # a slice with no pivot already has det 0 and eliminates with factor 0
-        inverse = [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
-        factors = col[:, 1:] * np.array(inverse, dtype=e.dtype)[:, None] % qc
+        inverse = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)], dtype=e.dtype)
+        row = row % qc
+        if width > n:
+            u[:, c, c + 1 :] = row * inverse[:, None] % qc
+        factors = col[:, 1:] * inverse[:, None] % qc
         e = e[:, 1:, 1:]
-        e -= factors[:, :, None] * (row % qc)[:, None, :]
+        e -= factors[:, :, None] * row[:, None, :]
         if (c + 1) % lazy == 0:
             e = e % qs
-    return det
+    # x[:, c] starts as the right-hand part of u[:, c] and loses the rest of row c times x
+    x = u[:, :, n:]
+    for c in range(n - 1, -1, -1) if width > n else ():
+        x[:, c] %= qc
+        x[:, :c] -= u[:, :c, c, None] * x[:, c, None, :]
+        if (n - c) % lazy == 0:
+            x[:, :c] %= qs
+    return det, x * det[:, None, None] % qs
 
 
 def rank_mod_p(a, p: int) -> int:
@@ -194,15 +218,16 @@ def rank_mod_p(a, p: int) -> int:
     return len(echelon(a, p)[1])
 
 
-def kernel_basis(a, p: int) -> np.ndarray:
-    """A basis of the x with a @ x = 0 over Z/p, one row per free column.
+def kernel_basis(a, p: int, count: Optional[int] = None) -> np.ndarray:
+    """A basis of the x with a @ x = 0 over Z/p, one row per free column,
+    or only its first `count` rows.
 
     Row t is 1 at the t-th free column of :func:`echelon` and 0 at the
     others; all rows back-substitute together, reduced like echelon.  A
     composite p can raise NonUnitPivot, as in echelon.
     """
     e, pivots = echelon(a, p)
-    free = sorted(set(range(e.shape[1])) - set(pivots))
+    free = sorted(set(range(e.shape[1])) - set(pivots))[:count]
     x = np.zeros((len(free), e.shape[1]), dtype=e.dtype)
     x[range(len(free)), free] = 1
     # pivot rows past the last free column solve to 0 in every row of x
@@ -219,8 +244,9 @@ def kernel_basis(a, p: int) -> np.ndarray:
 
 
 def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """The first row of :func:`kernel_basis` as a tuple, or None if a is injective."""
-    basis = kernel_basis(a, p)
+    """The first row of :func:`kernel_basis` as a tuple, or None if a is
+    injective; only the first free column is back-substituted."""
+    basis = kernel_basis(a, p, 1)
     return tuple(int(v) for v in basis[0]) if len(basis) else None
 
 
@@ -326,6 +352,12 @@ class ColumnSpace:
         space = cls(modulus, ambient)
         columns = int_array(columns)
         return cls(modulus, ambient, kernel_basis(space._columns(columns.T).T, modulus)) if columns.size else space
+
+    @classmethod
+    def from_annihilator(cls, modulus: int, rows) -> "ColumnSpace":
+        """The span of the x with rows @ x = 0, for rows independent mod the prime modulus."""
+        kernel = _residues(rows, modulus, np.int64 if modulus < _WORD_LIMIT else object)
+        return cls(modulus, kernel.shape[1], kernel)
 
     def _columns(self, x) -> np.ndarray:
         """x, a vector or an (ambient, k) block, with one column per vector."""

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (permutation expansions, exhaustive
-enumeration over supports and subspaces) and exact, so it validates the
-optimized library paths without sharing code with them.
+enumeration over supports and subspaces, fraction-free elimination on
+whole object rows) and exact, so it validates the optimized library paths
+without sharing code with them.
 """
 
 from __future__ import annotations
@@ -132,3 +133,52 @@ def odlyzko_violations(p: int, n_max: int, max_den: int) -> List[dict]:
                         {"p": p, "n": n, "basis": basis, "weights": weights}
                     )
     return violations
+
+
+def det_and_adjugate_product(rows, rhs=None):
+    """(det A, adj(A) @ B) for square integer rows A and an n x s integer
+    matrix B (default: no columns), exactly, by fraction-free Gauss-Jordan
+    elimination over numpy object rows; adj(A) @ B is None when A is
+    singular.
+
+    Step k replaces every row i != k of [A | B] by (a_kk r_i - a_ik r_k)
+    divided by the previous pivot, which divides exactly (Nakos, Turner,
+    Williams 1997).  After n steps [A | B] is [d I | d A^-1 B] with
+    d = det(P A) = +-det A for the row permutation P.
+    """
+    import numpy as np
+
+    n = len(rows)
+    b = np.zeros((n, 0), dtype=object) if rhs is None else np.array(rhs, dtype=object).reshape(n, -1)
+    m = np.hstack([np.array(rows, dtype=object).reshape(n, n), b])
+    sign, prev = 1, 1
+    for k in range(n):
+        nonzero = [i for i in range(k, n) if m[i, k] != 0]
+        if not nonzero:
+            return 0, None
+        if nonzero[0] != k:
+            m[[k, nonzero[0]]] = m[[nonzero[0], k]]
+            sign = -sign
+        others = [i for i in range(n) if i != k]
+        m[others] = (m[k, k] * m[others] - m[others, k : k + 1] * m[k]) // prev
+        prev = m[k, k]
+    return sign * prev, sign * m[:, n:]
+
+
+def det_fraction_free(rows) -> int:
+    """det A by forward fraction-free (Bareiss) elimination over numpy object rows."""
+    import numpy as np
+
+    n = len(rows)
+    m = np.array(rows, dtype=object).reshape(n, n)
+    sign, prev = 1, 1
+    for k in range(n):
+        nonzero = [i for i in range(k, n) if m[i, k] != 0]
+        if not nonzero:
+            return 0
+        if nonzero[0] != k:
+            m[[k, nonzero[0]]] = m[[nonzero[0], k]]
+            sign = -sign
+        m[k + 1 :, k + 1 :] = (m[k, k] * m[k + 1 :, k + 1 :] - m[k + 1 :, k : k + 1] * m[k, k + 1 :]) // prev
+        prev = m[k, k]
+    return sign * prev if n else 1

@@ -21,7 +21,7 @@ from latsurj.exact_linalg import (
     smith_diagonal,
 )
 from latsurj.modp import rank_mod_p
-from latsurj.primes import FactorizationError, factorize, is_probable_prime, prime_divisors
+from latsurj.primes import FactorizationError, crt_primes, factorize, is_probable_prime, prime_divisors
 
 from oracles import cokernel_brute_force
 
@@ -327,6 +327,22 @@ def test_tampered_certificates_rejected():
     assert verify_certificate(m, replace(cert, extra_columns=((1, 3),)))
     assert verify_certificate(m, replace(cert, extra_columns=((0, 1), (2, 3))))
 
+    # square: row 0 of adj(M) = diag(3, 2), nonzero modulo det M = 6
+    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    cert = is_surjective(m)
+    assert (cert.modulus, cert.annihilator) == (6, (3, 0)) and verify_certificate(m, cert)
+    for modulus, annihilator in ((12, (3, 0)), (5, (3, 0)), (3, (3, 0)), (6, (0, 0)), (6, (3, 1)), (6, (1, 0)), (6, (3,))):
+        assert not verify_certificate(m, replace(cert, modulus=modulus, annihilator=annihilator))
+    assert not verify_certificate(m, replace(cert, verdict="surjective"))
+    # a unimodular square: its one maximal minor is its determinant
+    m = IntMatrix.from_rows([[2, 1], [1, 1]])
+    cert = is_surjective(m)
+    assert (cert.columns, cert.determinant, cert.gcd_value, cert.columns_alt) == ((0, 1), 1, 1, None)
+    assert verify_certificate(m, cert)
+    for bad in (replace(cert, determinant=-1), replace(cert, columns=(0, 0)), replace(cert, columns=(1,)),
+                replace(cert, gcd_value=2), replace(cert, verdict="not_surjective")):
+        assert not verify_certificate(m, bad)
+
 
 def _search_one_at_a_time(m, pivots):
     """The certifier's second-minor search, one candidate per determinant."""
@@ -381,9 +397,10 @@ def test_forged_surjective_verdict_rejected():
     assert not verify_certificate(m, replace(forged, extra_columns=((0, 1),)))
     assert not verify_certificate(m, replace(forged, extra_columns=((1, 0),)))
     assert not verify_certificate(m, replace(forged, gcd_value=1))
-    # the true certificate, with its verdict flipped
+    # the true certificate, with its verdict flipped: row 0 of adj(M) =
+    # diag(2, 2), nonzero modulo det M = 4
     cert = is_surjective(m)
-    assert (cert.reason, cert.modulus) == ("annihilator", 2) and cert.determinant is None
+    assert (cert.reason, cert.modulus, cert.annihilator) == ("annihilator", 4, (2, 0)) and cert.determinant is None
     assert not verify_certificate(m, replace(cert, verdict="surjective"))
 
 
@@ -513,6 +530,9 @@ PRIMES_40 = [p for p in range(2**40 - 1, 2**40 - 3000, -2) if is_probable_prime(
 # products whose elimination meets zero divisors with no coprime split
 PLANTED = [(p * q,) for p, q in zip(PRIMES_40[::2], PRIMES_40[1::2])]
 PLANTED += [(4,), (2, 2), (8,), (2, 4), (9,), (3, 3), (12,), (2, 6)]
+# square only: the first CRT prime in det M leaves the rows of adj(M)
+# unknown, and p^2 | det M with corank 2 mod p makes them vanish mod p
+CRT_PLANTED = [(crt_primes(1)[0],), (2 * crt_primes(1)[0],), (3, 3 * crt_primes(1)[0])]
 
 
 def unimodular(rng, n, lo=-3, hi=3):
@@ -535,7 +555,7 @@ def planted(rng, n, m, diagonal):
 
 @st.composite
 def adversarial_matrices(draw):
-    kind = draw(st.sampled_from(["planted", "unimodular", "degenerate", "one_row", "near_square"]))
+    kind = draw(st.sampled_from(["planted", "unimodular", "degenerate", "one_row", "near_square", "square"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if kind == "planted":
         n = draw(st.integers(1, 6))
@@ -553,6 +573,9 @@ def adversarial_matrices(draw):
             row.insert(zero_at, 0)
             row.insert(copy_at, value)
         return IntMatrix.from_rows(rows)
+    if kind == "square":
+        n = draw(st.integers(1, 8))
+        return planted(rng, n, n, draw(st.sampled_from(PLANTED + CRT_PLANTED)))
     if kind == "one_row":
         return random_matrix(rng, 1, draw(st.integers(1, 6)), -12, 12)
     n = draw(st.integers(1, 6))
@@ -563,6 +586,9 @@ def adversarial_matrices(draw):
 @example(planted(random.Random(0), 12, 14, PLANTED[0]))
 @example(planted(random.Random(1), 4, 5, (4,)))
 @example(planted(random.Random(2), 3, 3, (2, 6)))
+@example(planted(random.Random(3), 12, 12, PLANTED[0]))
+@example(planted(random.Random(4), 5, 5, CRT_PLANTED[0]))
+@example(planted(random.Random(5), 4, 4, (2, 2)))
 @settings(max_examples=80, deadline=None)
 def test_adversarial_matrices_match_smith_oracle(m):
     trivial = cokernel(m).is_trivial

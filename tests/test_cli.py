@@ -72,6 +72,16 @@ def test_certify_not_surjective_exit_code(tmp_path):
     assert doc["modulus"] == 2
 
 
+def test_certify_square_not_surjective_exit_code(tmp_path):
+    # diag(2, 3): a row of its adjugate annihilates it modulo det = 6
+    path = tmp_path / "square.txt"
+    path.write_text("2 2\n2 0\n0 3\n")
+    code, out, _ = run_cli(["certify", str(path), "--verify"])
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["modulus"], doc["annihilator"], doc["verified"]) == ("not_surjective", 6, [3, 0], True)
+
+
 def test_snf_output(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("2 2\n2 0\n0 3\n")

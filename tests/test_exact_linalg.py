@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsurj import exact_linalg
 from latsurj.exact_linalg import (
     CokernelStructure,
     IntMatrix,
+    adjugate_rows,
     cokernel,
     cokernel_p_part,
     det,
@@ -22,8 +23,9 @@ from latsurj.exact_linalg import (
     smith_normal_form,
 )
 from latsurj.modp import dets, rank_mod_p
+from latsurj.primes import crt_primes
 
-from oracles import det_permutation_expansion
+from oracles import det_and_adjugate_product, det_permutation_expansion
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -250,6 +252,54 @@ def test_det_mod_crt_stacks_stay_under_the_cap(monkeypatch):
     assert sum(s[0] for s in shapes) == len(exact_linalg._crt_primes(a)) > 40
     assert len(shapes) > 1
     assert all(s[0] * 8 * 400 * 400 <= exact_linalg._STACK_BYTES for s in shapes)
+
+
+@st.composite
+def adjugate_cases(draw):
+    """A square matrix: random with entries up to 2^70, singular (two
+    equal rows), or R R^T for an R of det q, the first CRT prime, which
+    then divides det twice."""
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    bound = draw(st.sampled_from([1, 9, 2**62, 2**70]))
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "singular", "crt_prime"]))
+    if kind == "singular" and n >= 2:
+        rows[-1] = list(rows[0])
+    if kind == "crt_prime":
+        rows = [[0] * i + [1] + row[i + 1 :] for i, row in enumerate(rows)]
+        rows[0] = [crt_primes(1)[0] * x for x in rows[0]]
+        rows = (np.array(rows, dtype=object) @ np.array(rows, dtype=object).T).tolist()
+    return rows
+
+
+@given(adjugate_cases())
+@example([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]])
+@example([[2, 0], [0, 3]])
+@example([[crt_primes(1)[0], 5], [0, 1]])
+@settings(max_examples=60, deadline=None)
+def test_adjugate_rows_match_oracle(rows):
+    n = len(rows)
+    d, adj = det_and_adjugate_product(rows, np.eye(n, dtype=np.int64).tolist())
+    got_det, got = adjugate_rows(np.array(rows, dtype=object))
+    assert got_det == d and got.dtype == object
+    if any(d % p == 0 for p in exact_linalg._crt_primes(np.array(rows, dtype=object).T)):
+        assert got.shape == (0, n)
+    else:
+        assert got.tolist() == adj[max(n - exact_linalg.ADJUGATE_ROWS, 0) :].tolist()
+
+
+def test_adjugate_rows_stacks_stay_under_the_cap(monkeypatch):
+    a = np.random.default_rng(3).integers(-999, 1000, size=(12, 12))  # 5 CRT primes
+    det_value, rows = adjugate_rows(a)
+    assert rows.shape == (4, 12) and det_value == det_bareiss(IntMatrix.from_array(a))
+    shapes = []
+    solve = exact_linalg.det_solve
+    monkeypatch.setattr(exact_linalg, "det_solve", lambda stack, primes: shapes.append(stack.shape) or solve(stack, primes))
+    monkeypatch.setattr(exact_linalg, "_STACK_BYTES", 2 * 8 * 12 * 16)  # two slices of 12 x 16
+    again = adjugate_rows(a)
+    assert again[0] == det_value and again[1].tolist() == rows.tolist()
+    assert len(shapes) > 1 and all(s[0] <= 2 for s in shapes)
 
 
 @given(st.integers(1, 5), st.data())

@@ -11,7 +11,8 @@ from latsurj.certifier import is_surjective
 from latsurj.ensembles import Distribution, EnsembleSpec, derive_seed, sample_matrix
 from latsurj.exact_linalg import IntMatrix, cokernel_p_part, det
 from latsurj.modp import ColumnSpace, rank_mod_p
-from latsurj.exposure import batch_size, run_exposure, u_budget
+from latsurj.exposure import SingularStart, batch_size, run_exposure, u_budget
+from latsurj.primes import crt_primes
 
 U01 = Distribution.uniform([0, 1])
 LAWS = {
@@ -59,8 +60,9 @@ def test_run_exposure_two_identity():
 
 
 def test_run_exposure_rejects_singular():
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularStart) as info:
         run_exposure(IntMatrix.from_rows([[0, 0], [0, 0]]), U01, 1.0, seed=1)
+    assert isinstance(info.value, ValueError)
 
 
 def test_run_exposure_rejects_degenerate_dist():
@@ -158,27 +160,73 @@ def test_csv_row_shape():
     assert fields[4] in {"0", "1"}
 
 
+def planted_start(n, diagonal, seed):
+    """U diag(d) V for unimodular U and V with small entries, d the given
+    diagonal padded with ones: det is the product of the diagonal, and the
+    corank mod p is the number of its entries divisible by p."""
+    rng = np.random.default_rng(seed)
+
+    def unimodular():
+        lower = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        return (lower @ upper)[rng.permutation(n)].astype(object)
+
+    d = np.diag(np.array(list(diagonal) + [1] * (n - len(diagonal)), dtype=object))
+    return IntMatrix.from_array(unimodular() @ d @ unimodular())
+
+
+# planted diagonals: corank 2 mod 3 and mod 5 (p^2 | det), primes past
+# 2^31, and the first CRT prime, which leaves the adjugate rows unknown
+PLANTED_STARTS = {
+    "corank2": (3, 3 * 5, 5),
+    "large_prime": (2**31 + 11, 2**61 - 1),
+    "crt_prime": (crt_primes(1)[0], 2),
+}
+
+
 @given(
     st.integers(3, 12),
     st.sampled_from(sorted(LAWS)),
     st.sampled_from(["divisors_of_det", "explicit"]),
     st.integers(0, 2**32),
+    st.sampled_from(["sampled"] + sorted(PLANTED_STARTS)),
 )
-@settings(max_examples=60, deadline=None)
-def test_trajectories_match_prefix_ranks(n, law, source, seed):
+@settings(max_examples=80, deadline=None)
+def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
     """trajectory[p][i] is n minus the rank mod p of the columns of the
-    final matrix up to the end of batch i."""
+    final matrix up to the end of batch i.  A starting span eliminates m0
+    at least at the primes of corank 2 or more, and at every prime when
+    a CRT prime divides det(m0); elsewhere it is one row of adj(m0)."""
     dist = LAWS[law]
-    m0 = sample_matrix(EnsembleSpec("iid_rect", n, dist, derive_seed(seed, 0), m=n))
+    if start == "sampled":
+        m0 = sample_matrix(EnsembleSpec("iid_rect", n, dist, derive_seed(seed, 0), m=n))
+    else:
+        m0 = planted_start(n, PLANTED_STARTS[start], seed)
     if source == "divisors_of_det" and det(m0) == 0:
         source = "explicit"  # a singular start has no prime divisors to track
     primes = EXPLICIT_PRIMES if source == "explicit" else None
-    trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), prime_source=source, primes=primes)
+    eliminated = []
+    original = ColumnSpace.from_columns
+
+    def from_columns(modulus, columns, ambient):
+        eliminated.append(modulus)
+        return original(modulus, columns, ambient)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ColumnSpace, "from_columns", staticmethod(from_columns))
+        trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), prime_source=source, primes=primes)
     final = trace.final_matrix.array
     ends = np.cumsum((n,) + trace.batch_sizes)
     for p, traj in trace.trajectories.items():
         assert len(traj) == len(ends)
         assert list(traj) == [n - rank_mod_p(final[:, :end], p) for end in ends]
+        assert traj[0] == 1 or p in eliminated
+    if source == "explicit" or det(m0) % crt_primes(1)[0] == 0:
+        assert eliminated == list(trace.primes)
+    elif n <= 4:  # the adjugate rows are all of adj(m0)
+        assert eliminated == [p for p in trace.primes if trace.trajectories[p][0] >= 2]
+    if start == "corank2" and source != "explicit":
+        assert trace.initial_coranks()[3] == trace.initial_coranks()[5] == 2
 
 
 @given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EXPLICIT_PRIMES + (5,)), st.integers(0, 2**32))

@@ -12,6 +12,7 @@ from latsurj.modp import (
     ColumnSpace,
     NonUnitPivot,
     int_array,
+    det_solve,
     dets,
     echelon,
     iter_subspaces,
@@ -25,6 +26,8 @@ from latsurj.modp import (
 from latsurj.primes import crt_primes
 
 from oracles import (
+    det_and_adjugate_product,
+    det_fraction_free,
     odlyzko_violations,
     residue_distributions,
     subspace_mass,
@@ -192,12 +195,15 @@ def test_int_array_keeps_integers():
 CRT = tuple(crt_primes(6))
 # the CRT primes, small primes, the largest int64 prime and the object path
 DET_PRIMES = CRT + (2, 3, 2**31 - 1, 2**61 - 1)
+EDGES = (0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63))
+# entry laws, drawn from one seeded random.Random per matrix: Hypothesis
+# draws one seed instead of up to 1600 entries
 DET_ENTRIES = {
-    "bits": st.integers(0, 1),
-    "small": st.integers(-9, 9),
-    "edge": st.sampled_from((0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63))),
-    "word": st.integers(-(2**63), 2**63 - 1),
-    "beyond": st.integers(-(2**70), 2**70),
+    "bits": lambda rng: rng.randint(0, 1),
+    "small": lambda rng: rng.randint(-9, 9),
+    "edge": lambda rng: rng.choice(EDGES),
+    "word": lambda rng: rng.randint(-(2**63), 2**63 - 1),
+    "beyond": lambda rng: rng.randint(-(2**70), 2**70),
 }
 
 
@@ -207,13 +213,14 @@ def det_slices(draw):
     kind, rank-deficient ones, and ones whose det is a CRT prime q, so it
     vanishes modulo q only."""
     n = draw(st.integers(1, 40))
-    # wide entries make the Bareiss oracle slow; keep them to small n
+    # wide entries make the oracle slow; keep them to small n
     kinds = ["bits", "small"] + (["edge", "word", "beyond"] if n <= 12 else [])
     slices = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["random", "deficient", "det_is_crt_prime"]))
         entry = DET_ENTRIES[draw(st.sampled_from(kinds))]
-        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        rng = random.Random(draw(st.integers(0, 2**64)))
+        rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
         p = draw(st.sampled_from(DET_PRIMES))
         if kind == "deficient" and n >= 2:
             rows[-1] = [x - y for x, y in zip(rows[0], rows[1 % (n - 1)])]
@@ -236,9 +243,33 @@ def test_dets_match_bareiss(slices):
     # one stack mixes matrices and primes; slice t is reduced mod primes[t]
     stack = np.array([rows for rows, _ in slices], dtype=object)
     primes = [p for _, p in slices]
-    expected = [det_bareiss(IntMatrix.from_rows(rows)) % p for rows, p in slices]
+    expected = [det_fraction_free(rows) % p for rows, p in slices]
     assert dets(stack, primes).tolist() == expected
     assert dets(IntMatrix.from_rows(slices[0][0]).array[None], primes[:1]).tolist() == expected[:1]
+
+
+@given(det_slices(), st.integers(0, 3), st.integers(0, 2**64))
+@example([([[CRT[0], 5], [0, 1]], CRT[0]), ([[CRT[0], 5], [0, 1]], CRT[1])], 2, 0)
+@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**61 - 1)], 1, 0)
+@settings(max_examples=60, deadline=None)
+def test_det_solve_matches_adjugate_oracle(slices, s, seed):
+    # [A | B] per slice, B with entries up to 2^70; a slice whose det
+    # vanishes mod its prime (singular, or det a CRT prime) solves to 0
+    rng = random.Random(seed)
+    n = len(slices[0][0])
+    entries = [DET_ENTRIES[kind] for kind in ("small", "edge", "beyond")]
+    stack, primes, expected_dets, expected = [], [], [], []
+    for rows, p in slices:
+        b = [[rng.choice(entries)(rng) for _ in range(s)] for _ in range(n)]
+        d, adj_b = det_and_adjugate_product(rows, b)
+        stack.append([row + extra for row, extra in zip(rows, b)])
+        primes.append(p)
+        expected_dets.append(d % p)
+        expected.append((adj_b % p).tolist() if d % p else [[0] * s for _ in range(n)])
+    d, x = det_solve(np.array(stack, dtype=object), primes)
+    assert d.tolist() == expected_dets
+    assert x.shape == (len(slices), n, s) and x.tolist() == expected
+    assert dets(np.array([rows for rows, _ in slices], dtype=object), primes).tolist() == expected_dets
 
 
 def _worst_case_growth(n):
@@ -267,6 +298,21 @@ def test_dets_lazy_reduction_worst_case(monkeypatch):
     assert dets(a[None], [p]).tolist() != [1]
 
 
+def test_det_solve_lazy_reduction_worst_case(monkeypatch):
+    # A = U, unit upper triangular with -1 above the diagonal, has no
+    # elimination to do; B = U (-1, ..., -1)^T makes every unknown p - 1,
+    # so each back-substitution step subtracts (p - 1)^2 from every sum
+    p = CRT[0]
+    lazy = modp._lazy_columns(p)
+    n = lazy + 4  # more than L + 1 rows of updates
+    upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
+    a = np.hstack([upper, -upper.sum(axis=1, keepdims=True)])
+    assert det_solve(np.stack([a, a]), [p, CRT[1]])[1].tolist() == [[[p - 1]] * n, [[CRT[1] - 1]] * n]
+    # one more row between reductions passes 2^63 and wraps
+    monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
+    assert det_solve(a[None], [p])[1].tolist() != [[[p - 1]] * n]
+
+
 @pytest.mark.parametrize("p", [CRT[0], 2**31 - 1, 65537])
 def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
     lazy = modp._lazy_columns(p)
@@ -288,6 +334,10 @@ def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
 
 def test_dets_shapes():
     assert dets(np.zeros((0, 3, 3), dtype=np.int64), []).tolist() == []
+    d, x = det_solve(np.zeros((0, 3, 5), dtype=np.int64), [])
+    assert d.shape == (0,) and x.shape == (0, 3, 2)
+    with pytest.raises(ValueError):
+        det_solve(np.zeros((1, 3, 2), dtype=np.int64), [5])
     assert dets([[[7]]], [5]).tolist() == [2]
     with pytest.raises(ValueError):
         dets(np.zeros((2, 3, 3), dtype=np.int64), [5])
