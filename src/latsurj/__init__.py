@@ -12,10 +12,8 @@ from .exact_linalg import (
     IntMatrix,
     SnfDecomposition,
     cokernel,
-    cokernel_p_part,
     det,
     det_bareiss,
-    det_mod_crt,
     format_matrix,
     parse_matrix,
     smith_normal_form,
@@ -29,7 +27,6 @@ from .ensembles import (
     parse_distribution,
     sample_matrix,
     sparse_bernoulli,
-    symmetrize,
 )
 from .certifier import Certificate, is_surjective, verify_certificate
 from .exposure import ExposureTrace, batch_size, run_exposure, u_budget
@@ -45,11 +42,8 @@ from .fq import (
     exact_dot_distribution,
     lo_bound_check,
     mu_hat,
-    psi_level_set,
     spec_set,
     spectrum_subgroup_check,
-    sumset,
-    sym_set,
 )
 from .experiments import ExperimentConfig, ExperimentReport, run_experiment
 

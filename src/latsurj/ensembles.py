@@ -76,11 +76,6 @@ class Distribution:
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1
 
-    @property
-    def diameter(self) -> int:
-        vs = self.values
-        return vs[-1] - vs[0]
-
     @cached_property
     def common_denominator(self) -> int:
         return math.lcm(*(w.denominator for w in self.weights))
@@ -140,26 +135,6 @@ def alpha_min(dist: Distribution) -> Fraction:
         if a < best:
             best = a
     return best
-
-
-def symmetrize(dist: Distribution) -> Distribution:
-    """Law of xi - xi' for independent copies xi, xi' of dist.
-
-    The balance identities alpha <= alpha' <= 2*alpha (with alpha read off
-    the single largest weight and 1 - alpha' the mass at zero) hold exactly
-    and are checked; a violation raises RuntimeError.
-    """
-    conv: Dict[int, Fraction] = {}
-    for v1, w1 in dist.atoms:
-        for v2, w2 in dist.atoms:
-            key = v1 - v2
-            conv[key] = conv.get(key, Fraction(0)) + w1 * w2
-    out = Distribution(tuple(conv.items()))
-    alpha = 1 - dist.max_weight
-    alpha_sym = 1 - out.weight_of(0)
-    if not alpha <= alpha_sym <= 2 * alpha:
-        raise RuntimeError(f"balance identity fails: alpha={alpha}, alpha'={alpha_sym}")
-    return out
 
 
 # -- distribution literals ----------------------------------------------

@@ -1,8 +1,8 @@
 """Arbitrary-precision integer matrix algebra.
 
 Provides the immutable :class:`IntMatrix` over one read-only ndarray,
-fraction-free (Bareiss) elimination for the rational rank, pivot columns
-and small determinants, CRT determinants whose primes (enough for their
+fraction-free (Bareiss) elimination, the reference for the rational rank,
+pivot columns and determinants, CRT determinants whose primes (enough for their
 product to pass twice the row-norm Hadamard bound) are eliminated
 together as one stack by :func:`latsurj.modp.dets`, a determinant with a
 few rows of the adjugate from the same kind of stack, Smith normal form
@@ -258,18 +258,9 @@ def adjugate_rows(a) -> Tuple[int, np.ndarray]:
     return _lift(primes, residues.tolist()), rows
 
 
-def det_mod_crt(m: IntMatrix) -> int:
+def det(m: IntMatrix) -> int:
     """Exact determinant via CRT over word-size primes."""
     return dets_mod_crt([m.array])[0]
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant.  Small matrices use Bareiss, larger ones CRT."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    if m.rows <= 8:
-        return det_bareiss(m)
-    return det_mod_crt(m)
 
 
 def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
@@ -439,35 +430,3 @@ def cokernel(m: IntMatrix) -> CokernelStructure:
     factors = tuple(d for d in diag if d > 1)
     return CokernelStructure(factors, m.rows - rank)
 
-
-@dataclass(frozen=True)
-class CokernelPPart:
-    """Exponents of p in the invariant factors, plus the free rank."""
-
-    p: int
-    exponents: Tuple[int, ...]
-    free_rank: int
-
-    @property
-    def corank_mod_p(self) -> int:
-        return len(self.exponents) + self.free_rank
-
-
-def cokernel_p_part(m: IntMatrix, p: int) -> CokernelPPart:
-    """p-power exponents of each invariant factor (zeros dropped).
-
-    The corank of M mod p equals the number of p-divisible invariant
-    factors plus the free rank.
-    """
-    if not _primes.is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    structure = cokernel(m)
-    exponents = []
-    for d in structure.invariant_factors:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e:
-            exponents.append(e)
-    return CokernelPPart(p, tuple(exponents), structure.free_rank)

@@ -49,6 +49,9 @@ SINGULARITY = "singularity"
 EXPOSURE = "exposure"
 SYMMETRIC = "symmetric"
 
+# corank outcomes up to this k carry a prediction
+K_PREDICT = 8
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,7 +71,6 @@ class ExperimentConfig:
     confidence: float = 0.95
     min_frequency: Optional[float] = None
     max_singular: Optional[int] = None
-    k_predict: int = 8
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -257,8 +259,8 @@ def run_corank_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     counts = Counter(cfg.n - r for (r,) in _iid_ranks(cfg, cfg.n, (p,)))
     outcomes = []
-    for k in sorted(set(range(min(cfg.k_predict, cfg.n) + 1)) | set(counts)):
-        pred = corank_prediction(p, k) if k <= cfg.k_predict else None
+    for k in sorted(set(range(min(K_PREDICT, cfg.n) + 1)) | set(counts)):
+        pred = corank_prediction(p, k) if k <= K_PREDICT else None
         outcomes.append(
             _outcome(f"corank={k}", counts.get(k, 0), cfg.trials, cfg.confidence, pred, tolerance=cfg.tolerance)
         )
@@ -412,6 +414,9 @@ def run_exposure_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+# the modes each experiment accepts; the others accept only "default"
+MODES = {TRIVIAL: ("default", "all_primes", "p_restricted"), SINGULARITY: ("default", "det", "mod_p")}
+
 RUNNERS = {
     CORANK: run_corank_experiment,
     TRIVIAL: run_trivial_cokernel_experiment,
@@ -426,4 +431,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         runner = RUNNERS[cfg.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
+    if cfg.mode not in MODES.get(cfg.experiment, ("default",)):
+        raise ValueError(f"unknown mode {cfg.mode!r} for experiment {cfg.experiment!r}")
     return runner(cfg)

@@ -23,17 +23,14 @@ import numpy as np
 
 from . import primes as _primes
 from .ensembles import Distribution, _generator, alpha_min, sample_columns
-from .exact_linalg import IntMatrix, adjugate_rows, smith_diagonal
+from .exact_linalg import IntMatrix, adjugate_rows
 from .modp import ColumnSpace
 
 # Never called here.  The benchmark's per-layer trace still wraps this name
 # in this module, and its tests expect the span to exist.
 from .exact_linalg import det  # noqa: F401
 
-DIVISORS_OF_DET = "divisors_of_det"
-EXPLICIT = "explicit"
-
-DEFAULT_CAP_FACTOR = 10
+CAP_FACTOR = 10
 
 
 def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
@@ -46,21 +43,14 @@ def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
     return max(1, math.ceil(b * math.log(n) / (a * d_prev)))
 
 
-def u_budget(n: int, alpha: Fraction | float, b: float, simple: bool = False) -> int:
-    """Extra-column budget.
-
-    Default: floor(B * ((log n / alpha) * log(log n / alpha) + log n)).
-    The `simple` variant is floor(B * log^2 n / alpha + sqrt(n log n / alpha)),
-    which never drops below sqrt(n log n).
-    """
+def u_budget(n: int, alpha: Fraction | float, b: float) -> int:
+    """Extra-column budget floor(B * ((log n / alpha) * log(log n / alpha) + log n))."""
     if n < 3:
         raise ValueError("n must be at least 3")
     a = float(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
     ln = math.log(n)
-    if simple:
-        return math.floor(b * ln * ln / a + math.sqrt(n * ln / a))
     ratio = ln / a
     return math.floor(b * (ratio * math.log(ratio) + ln))
 
@@ -106,21 +96,6 @@ class SingularStart(ValueError):
     """det(m0) = 0: a start with no prime divisors to track."""
 
 
-def _tracked_primes(d: int, m0: IntMatrix) -> Tuple[int, ...]:
-    """Prime divisors of d = det(m0); falls back to factoring the Smith
-    diagonal when the determinant itself resists the budget."""
-    if d == 0:
-        raise SingularStart("exposure from a singular matrix needs an explicit prime list")
-    try:
-        return tuple(sorted(_primes.prime_divisors(d)))
-    except _primes.FactorizationError:
-        primes: set[int] = set()
-        for factor in smith_diagonal(m0):
-            if abs(factor) > 1:
-                primes |= _primes.prime_divisors(factor)
-        return tuple(sorted(primes))
-
-
 def _start_space(p: int, m0: IntMatrix, rows: np.ndarray) -> ColumnSpace:
     """The span of the columns of m0 mod p, given rows of adj(m0) when p
     divides det(m0).  A row w of adj(m0) has w m0 = det(m0) e_j = 0 mod p,
@@ -137,17 +112,17 @@ def run_exposure(
     dist: Distribution,
     b: float,
     seed: int,
-    prime_source: str = DIVISORS_OF_DET,
     primes: Optional[Sequence[int]] = None,
     alpha: Optional[Fraction] = None,
-    cap_factor: int = DEFAULT_CAP_FACTOR,
 ) -> ExposureTrace:
     """Simulate the exposure process from square m0.
 
-    Each batch samples k fresh columns from dist; the same physical
-    columns update every tracked prime's column space.  The run stops when
-    all coranks hit zero or the next batch would exceed the hard cap of
-    cap_factor * u_budget extra columns.
+    The tracked primes are `primes` when given, else the prime divisors of
+    det(m0); a FactorizationError from a determinant that resists the
+    factoring budget propagates.  Each batch samples k fresh columns from
+    dist; the same physical columns update every tracked prime's column
+    space.  The run stops when all coranks hit zero or the next batch
+    would exceed the hard cap of CAP_FACTOR * u_budget extra columns.
     """
     if not m0.is_square:
         raise ValueError("exposure starts from a square matrix")
@@ -157,21 +132,21 @@ def run_exposure(
         raise ValueError("distribution is degenerate (alpha = 0)")
 
     rows = np.zeros((0, n), dtype=object)
-    if prime_source == DIVISORS_OF_DET:
+    if primes is None:
         d, rows = adjugate_rows(m0.array)
-        tracked = _tracked_primes(d, m0)
-    elif prime_source == EXPLICIT:
-        if not primes:
-            raise ValueError("explicit prime source needs a prime list")
+        if d == 0:
+            raise SingularStart("exposure from a singular matrix needs an explicit prime list")
+        tracked = tuple(sorted(_primes.prime_divisors(d)))
+    elif primes:
         tracked = tuple(sorted(set(primes)))
     else:
-        raise ValueError(f"unknown prime source {prime_source!r}")
+        raise ValueError("an explicit prime list must not be empty")
 
     spaces = {p: _start_space(p, m0, rows) for p in tracked}
     coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}
     trajectories: Dict[int, List[int]] = {p: [coranks[p]] for p in tracked}
 
-    cap = cap_factor * u_budget(n, a, b) if n >= 3 else cap_factor
+    cap = CAP_FACTOR * u_budget(n, a, b) if n >= 3 else CAP_FACTOR
     gen = _generator(seed)
     batch_sizes: List[int] = []
     batch_d_prev: List[int] = []

@@ -212,9 +212,6 @@ class FieldTable:
             return (-a) % self.p
         return self.encode(tuple((-d) % self.p for d in self.digits(a)))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -372,6 +369,8 @@ def spec_set(mu: FqDistribution, eps: float) -> SpectrumSet:
 def exact_dot_distribution(mu: FqDistribution, w: Sequence[int]) -> Tuple[Fraction, ...]:
     """Exact law of sum_l xi_l * w_l by iterated convolution."""
     fld = mu.field
+    if any(not 0 <= wl < fld.q for wl in w):
+        raise ValueError(f"coefficients must be field elements 0..{fld.q - 1}")
     law = [Fraction(0)] * fld.q
     law[0] = Fraction(1)
     for wl in w:
@@ -448,6 +447,8 @@ def lo_bound_check(mu: FqDistribution, w: Sequence[int], r: int) -> LoBoundResul
     m = sum(1 for x in w if x != 0)
     if m == 0:
         raise ValueError("w must have at least one nonzero coefficient")
+    if not 0 <= r < fld.q:
+        raise ValueError(f"r must be a field element 0..{fld.q - 1}")
     alpha = balance_alpha(mu)
     prob = exact_dot_distribution(mu, w)[r]
     lhs = abs(float(prob - Fraction(1, fld.q)))
@@ -458,18 +459,6 @@ def lo_bound_check(mu: FqDistribution, w: Sequence[int], r: int) -> LoBoundResul
 
 
 # -- level sets -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """T(v) = {t : f(t) <= v} for f(t) = sum_l psi(w_l t), psi = 1-|mu_hat|^2."""
-
-    field: FieldTable
-    v: float
-    members: FrozenSet[int]
-
-    def __contains__(self, t: int) -> bool:
-        return t in self.members
 
 
 def _psi_values(mu: FqDistribution) -> np.ndarray:
@@ -486,51 +475,9 @@ def _level_function(mu: FqDistribution, w: Sequence[int]) -> np.ndarray:
     return f
 
 
-def psi_level_set(mu: FqDistribution, w: Sequence[int], v: float) -> LevelSet:
-    f = _level_function(mu, w)
-    members = frozenset(int(t) for t in np.nonzero(f <= v + SLACK)[0])
-    return LevelSet(mu.field, v, members)
-
-
-# -- sumsets and Kneser ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CyclicGroup:
-    """Z/nZ as a tiny additive-group object for sumset work."""
-
-    n: int
-
-    def elements(self) -> range:
-        return range(self.n)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-
-def sumset(group, a: Iterable[int], b: Iterable[int]) -> FrozenSet[int]:
-    """A + B by exact enumeration."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise ValueError("sumset of an empty set")
-    return frozenset(group.add(x, y) for x in sa for y in sb)
-
-
-def sym_set(group, x: Iterable[int]) -> FrozenSet[int]:
-    """Sym(X) = {h : h + X = X}; always a subgroup."""
-    sx = set(x)
-    if not sx:
-        raise ValueError("symmetry group of an empty set")
-    return frozenset(
-        h for h in group.elements() if {group.add(h, e) for e in sx} == sx
-    )
-
-
 def check_level_set_nesting(mu: FqDistribution, w: Sequence[int], v: float, k: int) -> bool:
-    """Exhaustively verify T(v) + ... + T(v) (k-fold) lies inside T(k^2 v)."""
+    """Exhaustively verify T(v) + ... + T(v) (k-fold) lies inside T(k^2 v),
+    where T(v) = {t : sum_l psi(w_l t) <= v} and psi = 1 - |mu_hat|^2."""
     if k < 1:
         raise ValueError("k must be at least 1")
     fld = mu.field
@@ -543,21 +490,6 @@ def check_level_set_nesting(mu: FqDistribution, w: Sequence[int], v: float, k: i
         acc = {fld.add(x, y) for x in acc for y in base}
     target_v = k * k * v
     return all(f[t] <= target_v + SLACK for t in acc)
-
-
-@dataclass(frozen=True)
-class CosineCheckResult:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def cosine_inequality_check(betas: Sequence[float]) -> CosineCheckResult:
-    """cos(b_1+...+b_k) >= k * sum_i cos(b_i) - k^2 + 1, with 1e-9 slack."""
-    k = len(betas)
-    lhs = math.cos(math.fsum(betas))
-    rhs = k * math.fsum(math.cos(b) for b in betas) - k * k + 1
-    return CosineCheckResult(lhs, rhs, lhs >= rhs - SLACK)
 
 
 # -- spectrum vs subgroups ----------------------------------------------------

@@ -3,9 +3,9 @@
 The factorizer is deliberately budgeted: trial division up to a fixed limit,
 then Brent-style Pollard rho with a bounded iteration count; trial division
 is one numpy pass over an int64 array of the primes.  The exposure
-simulator, which tracks the primes of a determinant, catches
-:class:`FactorizationError` and falls back to factoring the Smith diagonal;
-the certifier needs no factoring and no primality test.  The CRT primes
+simulator, which tracks the primes of a determinant, lets a
+:class:`FactorizationError` propagate; the certifier needs no factoring
+and no primality test.  The CRT primes
 below 2^30 come from the Miller-Rabin test, which is deterministic at that
 size.  All routines are deterministic: no randomized seeds enter the rho
 cycle.

@@ -179,6 +179,15 @@ def test_internal_errors_exit_2(monkeypatch, exc):
     assert err.splitlines()[-1] == f"error: {exc}"
 
 
+@pytest.mark.parametrize(
+    "argv", [["singularity", "--mode", "mod-p", "--p", "2"], ["trivial", "--mode", "p-restricted", "--primes", "2"]]
+)
+def test_unknown_experiment_mode_exit_2(argv):
+    code, out, err = run_cli(["experiment", *argv, "--n", "4", "--trials", "3"])
+    assert code == 2 and "unknown mode" in err.splitlines()[-1]
+    assert out == ""
+
+
 def test_config_file_and_env_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials=15\nseed=4\n")
@@ -229,6 +238,14 @@ def test_fourier_check_command():
     )
     assert code == 0
     assert "lo_bound:" in out and "holds=True" in out
+
+
+@pytest.mark.parametrize("q,w,r", [("3", "1,1", "7"), ("3", "1,1", "-1"), ("4", "-1", "0"), ("4", "1,4", "0")])
+def test_fourier_check_rejects_values_outside_the_field(q, w, r):
+    mu = ",".join(["1/" + q] * int(q))
+    code, out, err = run_cli(["fourier", "check", "--q", q, "--mu", mu, "--w", w, "--r", r])
+    assert code == 2 and err.splitlines()[-1].startswith("error:")
+    assert out == ""
 
 
 def test_fourier_sweep_command():

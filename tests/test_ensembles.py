@@ -14,7 +14,6 @@ from latsurj.ensembles import (
     sample_array,
     sample_matrix,
     sparse_bernoulli,
-    symmetrize,
 )
 
 U01 = Distribution.uniform([0, 1])
@@ -79,35 +78,6 @@ def test_sparse_bernoulli():
         sparse_bernoulli(Fraction(0))
     with pytest.raises(ValueError):
         sparse_bernoulli(Fraction(3, 2))
-
-
-def test_symmetrize_examples():
-    point = Distribution(((4, Fraction(1)),))
-    assert symmetrize(point).atoms == ((0, Fraction(1)),)
-    sym = symmetrize(U01)
-    assert sym.atoms == (
-        (-1, Fraction(1, 4)),
-        (0, Fraction(1, 2)),
-        (1, Fraction(1, 4)),
-    )
-    assert symmetrize(Distribution.uniform([0, 1, 2])).weight_of(0) == Fraction(1, 3)
-
-
-@given(distributions())
-@settings(max_examples=60, deadline=None)
-def test_symmetrize_weight_identities(dist):
-    sym = symmetrize(dist)
-    assert sym.weight_of(0) == sum(w * w for w in dist.weights)
-    alpha = 1 - dist.max_weight
-    alpha_sym = 1 - sym.weight_of(0)
-    assert alpha <= alpha_sym <= 2 * alpha
-
-
-def test_symmetrize_identity_violation_raises(monkeypatch):
-    # a zero mass of 1 puts alpha' = 0 below alpha; the check must hold under python -O
-    monkeypatch.setattr(Distribution, "weight_of", lambda self, value: Fraction(1))
-    with pytest.raises(RuntimeError, match="balance identity"):
-        symmetrize(U01)
 
 
 # -- literals ---------------------------------------------------------------

@@ -12,11 +12,9 @@ from latsurj.exact_linalg import (
     IntMatrix,
     adjugate_rows,
     cokernel,
-    cokernel_p_part,
     det,
     det_bareiss,
     det_is_zero,
-    det_mod_crt,
     dets_mod_crt,
     format_matrix,
     parse_matrix,
@@ -122,15 +120,15 @@ def test_det_rejects_non_square():
 
 
 def test_det_mod_crt_identity_and_zero():
-    assert det_mod_crt(IntMatrix.identity(5)) == 1
-    assert det_mod_crt(IntMatrix.from_rows([[0]])) == 0
+    assert det(IntMatrix.identity(5)) == 1
+    assert det(IntMatrix.from_rows([[0]])) == 0
 
 
 def test_det_mod_crt_matches_bareiss_random_6x6():
     rng = random.Random(101)
     for _ in range(25):
         m = random_matrix(rng, 6, 6)
-        assert det_mod_crt(m) == det_bareiss(m)
+        assert det(m) == det_bareiss(m)
 
 
 def test_det_agrees_with_permutation_expansion():
@@ -140,7 +138,7 @@ def test_det_agrees_with_permutation_expansion():
         m = random_matrix(rng, n, n)
         reference = det_permutation_expansion(m)
         assert det_bareiss(m) == reference
-        assert det_mod_crt(m) == reference
+        assert det(m) == reference
         assert det_is_zero(m) == (reference == 0)
         assert det_is_zero(m.array) == (reference == 0)
 
@@ -150,13 +148,13 @@ def test_det_crt_with_entries_beyond_int64():
     for n in (2, 9):
         m = random_matrix(rng, n, n, -(2**64), 2**64)
         assert m.array.dtype == object
-        assert det_mod_crt(m) == det_bareiss(m)
+        assert det(m) == det_bareiss(m)
         assert not det_is_zero(m)
         rows = m.array.tolist()
         singular = IntMatrix.from_rows(rows[:-1] + [[2 * x for x in rows[0]]])
-        assert det_is_zero(singular) and det_mod_crt(singular) == 0
+        assert det_is_zero(singular) and det(singular) == 0
         negative = IntMatrix(n, n, [-abs(x) for x in m.array.flat])
-        assert det_mod_crt(negative) == det_bareiss(negative)
+        assert det(negative) == det_bareiss(negative)
 
 
 def test_det_is_zero_past_a_vanishing_residue():
@@ -166,7 +164,7 @@ def test_det_is_zero_past_a_vanishing_residue():
     q = crt_primes(1)[0]
     m = IntMatrix.from_rows([[q, 1], [0, 1]])
     assert not det_is_zero(m) and not det_is_zero(m.array)
-    assert det_mod_crt(m) == q
+    assert det(m) == q
 
 
 def test_det_large_matrix_crt_path():
@@ -248,7 +246,7 @@ def test_det_mod_crt_stacks_stay_under_the_cap(monkeypatch):
     shapes = _record_slices(monkeypatch, lambda stack, primes: np.zeros(len(primes), dtype=np.int64))
     a = np.random.default_rng(2).integers(0, 2, size=(400, 400))
     assert exact_linalg._STACK_BYTES == 1 << 24
-    assert det_mod_crt(IntMatrix.from_array(a)) == 0
+    assert det(IntMatrix.from_array(a)) == 0
     assert sum(s[0] for s in shapes) == len(exact_linalg._crt_primes(a)) > 40
     assert len(shapes) > 1
     assert all(s[0] * 8 * 400 * 400 <= exact_linalg._STACK_BYTES for s in shapes)
@@ -453,18 +451,6 @@ def test_cokernel_structure_validation():
 # -- p-parts ---------------------------------------------------------------
 
 
-def test_p_part_examples():
-    assert cokernel_p_part(IntMatrix.from_rows([[2, 0], [0, 3]]), 2).exponents == (1,)
-    assert cokernel_p_part(IntMatrix.identity(3), 5).exponents == ()
-    part = cokernel_p_part(IntMatrix.from_rows([[4, 0], [0, 8]]), 2)
-    assert part.exponents == (2, 3)
-
-
-def test_p_part_rejects_composite():
-    with pytest.raises(ValueError):
-        cokernel_p_part(IntMatrix.identity(2), 6)
-
-
 def test_p_part_corank_matches_modp_elimination():
     rng = random.Random(31)
     for _ in range(40):
@@ -472,6 +458,6 @@ def test_p_part_corank_matches_modp_elimination():
         cols = rng.randint(1, 8)
         m = random_matrix(rng, n, cols, -9, 9)
         for p in (2, 3, 5, 7):
-            part = cokernel_p_part(m, p)
-            corank = n - rank_mod_p(m.array, p)
-            assert part.corank_mod_p == corank
+            structure = cokernel(m)
+            p_part = sum(1 for d in structure.invariant_factors if d % p == 0)
+            assert structure.free_rank + p_part == n - rank_mod_p(m.array, p)

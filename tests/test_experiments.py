@@ -255,3 +255,15 @@ def test_unknown_experiment_rejected():
     cfg = ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2)
     with pytest.raises(ValueError):
         run_experiment(replace(cfg, experiment="nope"))
+
+
+@pytest.mark.parametrize(
+    "kind,mode",
+    [(TRIVIAL, "p-restricted"), (TRIVIAL, "det"), (SINGULARITY, "mod-p"), (SINGULARITY, "all_primes"),
+     (CORANK, "mod_p"), (EXPOSURE, "det"), (SYMMETRIC, "p_restricted")],
+)
+def test_unknown_modes_rejected(kind, mode):
+    # a misspelt mode must not fall through to another mode's runner
+    cfg = ExperimentConfig(kind, n=4, trials=2, master_seed=1, dist=U01, p=2, primes=(2,), mode=mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_experiment(cfg)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from latsurj.certifier import is_surjective
 from latsurj.ensembles import Distribution, EnsembleSpec, derive_seed, sample_matrix
-from latsurj.exact_linalg import IntMatrix, cokernel_p_part, det
+from latsurj import exact_linalg, exposure, primes as primes_module
+from latsurj.cli import main
+from latsurj.exact_linalg import IntMatrix, cokernel, det
 from latsurj.modp import ColumnSpace, rank_mod_p
 from latsurj.exposure import SingularStart, batch_size, run_exposure, u_budget
-from latsurj.primes import crt_primes
+from latsurj.primes import FactorizationError, crt_primes
 
 U01 = Distribution.uniform([0, 1])
 LAWS = {
@@ -37,9 +39,6 @@ def test_batch_size_values():
 def test_u_budget_values():
     assert u_budget(100, Fraction(1, 2), 1.0) == 25
     assert u_budget(100, Fraction(1, 2), 0.0) == 0
-    n, alpha = 100, Fraction(1, 2)
-    simple = u_budget(n, alpha, 1.0, simple=True)
-    assert simple >= math.sqrt(n * math.log(n) / float(alpha))
     assert u_budget(50, Fraction(1, 2), 2.0) == 40
 
 
@@ -73,9 +72,32 @@ def test_run_exposure_rejects_degenerate_dist():
 
 def test_run_exposure_explicit_primes():
     m = IntMatrix.from_rows([[2, 0], [0, 2]])
-    trace = run_exposure(m, U01, 1.0, seed=9, prime_source="explicit", primes=[2, 3])
+    trace = run_exposure(m, U01, 1.0, seed=9, primes=[2, 3])
     assert trace.primes == (2, 3)
     assert trace.trajectories[3][0] == 0  # det = 4, full rank mod 3
+    with pytest.raises(ValueError):
+        run_exposure(m, U01, 1.0, seed=9, primes=[])
+
+
+def test_unfactored_determinant_raises_without_smith_form(monkeypatch):
+    # a determinant that resists factoring ends the run at once: no Smith
+    # form (wherever a module binds it) may be tried in its place
+    def unfactorable(n):
+        if abs(n) > 1:
+            raise FactorizationError(f"{n} resisted the budget")
+        return set()
+
+    def smith_form(m):
+        raise AssertionError("Smith form called")
+
+    monkeypatch.setattr(primes_module, "prime_divisors", unfactorable)
+    for module in (exact_linalg, exposure):
+        for name in ("smith_diagonal", "smith_normal_form"):
+            monkeypatch.setattr(module, name, smith_form, raising=False)
+    m0 = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 2]])  # det 13
+    with pytest.raises(FactorizationError):
+        run_exposure(m0, U01, 1.0, seed=1)
+    assert main(["experiment", "exposure", "--n", "8", "--trials", "4", "--seed", "3"]) == 2
 
 
 def test_exposure_determinism():
@@ -114,8 +136,9 @@ def test_exposure_trace_invariants_randomized():
         if trace.achieved:
             assert is_surjective(trace.final_matrix).is_surjective
             # final matrix is full rank mod every tracked prime
+            structure = cokernel(trace.final_matrix)
             for p in trace.primes:
-                assert cokernel_p_part(trace.final_matrix, p).corank_mod_p == 0
+                assert structure.free_rank == 0 and all(d % p for d in structure.invariant_factors)
 
 
 def test_batch_success_frequency_bound():
@@ -214,7 +237,7 @@ def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ColumnSpace, "from_columns", staticmethod(from_columns))
-        trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), prime_source=source, primes=primes)
+        trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), primes=primes)
     final = trace.final_matrix.array
     ends = np.cumsum((n,) + trace.batch_sizes)
     for p, traj in trace.trajectories.items():

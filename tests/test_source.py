@@ -19,16 +19,28 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
-def test_certifier_calls_no_factoring_primality_or_smith_form():
-    # the certifier decides by elimination modulo gcds of minors, and its
-    # verifier by minors and one product; neither may call these, by name
-    # or through a module attribute
-    tree = ast.parse((SRC / "certifier.py").read_text())
+def _called_names(module):
+    # names called in a module, by name or through a module attribute
     called = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+def test_certifier_calls_no_factoring_primality_or_smith_form():
+    # the certifier decides by elimination modulo gcds of minors, and its
+    # verifier by minors and one product; neither may call these
+    called = _called_names("certifier.py")
     forbidden = {"factorize", "prime_divisors", "cokernel", "bareiss", "is_probable_prime", "rank_mod_p"}
     assert not called & forbidden
+    assert not [name for name in called if name and name.startswith("smith_")]
+
+
+def test_exposure_calls_no_smith_form():
+    # a determinant that resists factoring raises; no Smith form may stand
+    # in for it, since its cost is unbounded and it factors the same cofactor
+    called = _called_names("exposure.py")
+    assert "cokernel" not in called
     assert not [name for name in called if name and name.startswith("smith_")]
