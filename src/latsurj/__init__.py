@@ -13,7 +13,6 @@ from .exact_linalg import (
     SnfDecomposition,
     cokernel,
     det,
-    det_bareiss,
     format_matrix,
     parse_matrix,
     smith_normal_form,

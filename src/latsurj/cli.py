@@ -328,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--B", type=float, default=1.0)
     p_exp.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads; rank experiments (GF(2) bit-packed) hand them chunks of up to "
-        "256 trials, the others single trials (output is identical for any value)",
+        "--threads", type=int, default=1,
+        help="worker threads, default 1 (under the GIL more only slow a run down); rank experiments "
+        "hand them chunks of up to 256 trials, the others single trials (output is identical for any value)",
     )
     p_exp.add_argument("--mode", default="default")
     p_exp.add_argument("--primes", help="restrict to this prime set (trivial)")

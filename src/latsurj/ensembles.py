@@ -62,12 +62,6 @@ class Distribution:
     def weights(self) -> Tuple[Fraction, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def weight_of(self, value: int) -> Fraction:
-        for v, w in self.atoms:
-            if v == value:
-                return w
-        return Fraction(0)
-
     @property
     def max_weight(self) -> Fraction:
         return max(self.weights)

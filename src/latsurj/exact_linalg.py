@@ -1,12 +1,13 @@
 """Arbitrary-precision integer matrix algebra.
 
 Provides the immutable :class:`IntMatrix` over one read-only ndarray,
-fraction-free (Bareiss) elimination, the reference for the rational rank,
-pivot columns and determinants, CRT determinants whose primes (enough for their
-product to pass twice the row-norm Hadamard bound) are eliminated
-together as one stack by :func:`latsurj.modp.dets`, a determinant with a
-few rows of the adjugate from the same kind of stack, Smith normal form
-with unimodular transforms, and cokernel structure extraction.
+one exact solve by CRT, :func:`crt_solve`, which gives det A and
+det A * A^-1 B of integer blocks [A | B] over enough word-size primes for
+their product to pass twice the row-norm Hadamard bound of the block, and
+alone stacks the (block, prime) slices for :func:`latsurj.modp.det_solve`;
+determinants and a few rows of the adjugate are its thin callers.  Also
+Smith normal form with unimodular transforms, and cokernel structure
+extraction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import primes as _primes
-from .modp import det_solve, dets, int_array
+from .modp import det_solve, int_array
 
 
 class IntMatrix:
@@ -132,51 +133,7 @@ def _det_bound(a: np.ndarray) -> int:
     return root if root * root == square else root + 1
 
 
-def bareiss(m: IntMatrix) -> Tuple[List[int], int]:
-    """Fraction-free (Bareiss) elimination over the integers.
-
-    Returns (pivots, det): the greedy pivot columns over Q, so that
-    len(pivots) is the rational rank, and the determinant when m is
-    square (0 when it is singular or not square).
-    """
-    a = m.array.tolist()
-    n, cols = m.rows, m.cols
-    pivots: List[int] = []
-    sign = 1
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == n:
-            break
-        pivot_row = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            sign = -sign
-        row_r = a[r]
-        pivot = row_r[c]
-        for i in range(r + 1, n):
-            row_i = a[i]
-            aic = row_i[c]
-            for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        pivots.append(c)
-    # a square matrix of full rank pivots on every column; its last pivot
-    # is then the determinant up to the sign of the row swaps
-    return pivots, sign * prev if len(pivots) == cols == n else 0
-
-
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    return bareiss(m)[1]
-
-
-# bytes of one int64 stack handed to modp.dets, the cap of the odd-p rank
+# bytes of one int64 stack handed to modp.det_solve, the cap of the odd-p rank
 # chunks too; more primes than fit go in several stacks
 _STACK_BYTES = 1 << 24
 
@@ -190,7 +147,7 @@ def _square(a) -> np.ndarray:
 
 def _crt_primes(a: np.ndarray) -> List[int]:
     """The fewest CRT primes whose product passes twice the Hadamard bound
-    of a, which pins the signed determinant."""
+    of the rows of a, which pins every signed maximal minor of a."""
     bound = 2 * _det_bound(a)
     chosen = _primes.crt_primes(bound.bit_length() // 29 + 1)
     modulus = 1
@@ -201,30 +158,42 @@ def _crt_primes(a: np.ndarray) -> List[int]:
     return chosen
 
 
-def _stacked_dets(arrays: Sequence[np.ndarray], pairs: Sequence[Tuple[int, int]]) -> List[int]:
-    """det(arrays[i]) mod p for each (i, p) of pairs, as stacks of at most
-    _STACK_BYTES that modp.dets eliminates at once."""
-    size = max(1, _STACK_BYTES // (8 * arrays[0].size)) if pairs else 1
-    out: List[int] = []
+def _solve_mod(blocks: Sequence[np.ndarray], pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, np.ndarray]]:
+    """(det A, det A * A^-1 B) mod p of blocks[i] for each (i, p) of pairs,
+    from det_solve stacks of at most _STACK_BYTES."""
+    size = max(1, _STACK_BYTES // (8 * blocks[0].size)) if pairs else 1
+    out: List[Tuple[int, np.ndarray]] = []
     for s in range(0, len(pairs), size):
         chunk = pairs[s : s + size]
-        stack = np.stack([arrays[i] for i, _ in chunk])
-        out += dets(stack, [p for _, p in chunk]).tolist()
+        d, x = det_solve(np.stack([blocks[i] for i, _ in chunk]), [p for _, p in chunk])
+        out += zip(d.tolist(), x)
+    return out
+
+
+def crt_solve(blocks: Sequence) -> List[Tuple[int, np.ndarray | None]]:
+    """(det A, det A * A^-1 B) exactly for integer blocks [A | B] of one shape (n, n + s).
+
+    By Cramer's rule each entry of det A * A^-1 B is a maximal minor of
+    [A | B], so the CRT primes of a block pass twice its row-norm Hadamard
+    bound, and every (block, prime) slice goes into the same stacks.  The
+    solution is an (n, s) object array, or None when a CRT prime divides
+    det A, 0 included.
+    """
+    blocks = [int_array(b) for b in blocks]
+    if len({b.shape for b in blocks}) > 1 or any(b.ndim != 2 or b.shape[1] < b.shape[0] for b in blocks):
+        raise ValueError("need integer blocks [A | B] of one shape (n, n + s)")
+    plans = [_crt_primes(b) for b in blocks]
+    solved = iter(_solve_mod(blocks, [(i, p) for i, ps in enumerate(plans) for p in ps]))
+    out = []
+    for ps in plans:
+        d, x = zip(*[next(solved) for _ in ps])
+        out.append((_lift(ps, d), _lift(ps, [r.astype(object) for r in x]) if all(d) else None))
     return out
 
 
 def dets_mod_crt(arrays: Sequence) -> List[int]:
-    """Exact determinants of square integer arrays of one size, via CRT.
-
-    Every CRT prime of every array is one slice of the same stacked
-    elimination.
-    """
-    arrays = [_square(a) for a in arrays]
-    if len({a.shape for a in arrays}) > 1:
-        raise ValueError("stacked determinants need arrays of one size")
-    plans = [_crt_primes(a) for a in arrays]
-    residues = iter(_stacked_dets(arrays, [(i, p) for i, ps in enumerate(plans) for p in ps]))
-    return [_lift(ps, [next(residues) for _ in ps]) for ps in plans]
+    """Exact determinants of square integer arrays of one size: :func:`crt_solve` with s = 0."""
+    return [d for d, _ in crt_solve([_square(a) for a in arrays])]
 
 
 def _lift(primes: Sequence[int], residues):
@@ -243,19 +212,13 @@ ADJUGATE_ROWS = 4
 
 def adjugate_rows(a) -> Tuple[int, np.ndarray]:
     """det(a) and the last ADJUGATE_ROWS rows of adj(a), an object array, from
-    one stacked CRT elimination: rows J of adj(a) are det z^T for the z
-    with a^T z = the unit columns J.  The entries are cofactors, within
-    the Hadamard bound of a^T when it is nonsingular.  No rows come back
-    when a CRT prime divides det(a), 0 included."""
+    one :func:`crt_solve` of [a^T | the unit columns J]: rows J of adj(a)
+    are det z^T for the z with a^T z = the unit columns J.  No rows come
+    back when a CRT prime divides det(a), 0 included."""
     t = _square(a).T
     block = np.hstack([t, np.eye(len(t), dtype=np.int64)[:, max(len(t) - ADJUGATE_ROWS, 0) :]])
-    primes = _crt_primes(t)
-    # stacks of at most _STACK_BYTES, as in _stacked_dets
-    size = max(1, _STACK_BYTES // (8 * block.size))
-    chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-    residues, solutions = (np.concatenate(x) for x in zip(*[det_solve(np.stack([block] * len(c)), c) for c in chunks]))
-    rows = _lift(primes, solutions.astype(object)).T if residues.all() else np.zeros((0, len(t)), dtype=object)
-    return _lift(primes, residues.tolist()), rows
+    d, x = crt_solve([block])[0]
+    return d, np.zeros((0, len(t)), dtype=object) if x is None else x.T
 
 
 def det(m: IntMatrix) -> int:
@@ -272,9 +235,9 @@ def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
     """
     a = _square(m.array if isinstance(m, IntMatrix) else m)
     first, *rest = _crt_primes(a)
-    if _stacked_dets([a], [(0, first)])[0]:
+    if _solve_mod([a], [(0, first)])[0][0]:
         return False
-    return not any(_stacked_dets([a], [(0, p) for p in rest]))
+    return not any(d for d, _ in _solve_mod([a], [(0, p) for p in rest]))
 
 
 # -- Smith normal form -------------------------------------------------

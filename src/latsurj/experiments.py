@@ -433,4 +433,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
     if cfg.mode not in MODES.get(cfg.experiment, ("default",)):
         raise ValueError(f"unknown mode {cfg.mode!r} for experiment {cfg.experiment!r}")
+    if cfg.primes is not None and (cfg.experiment, cfg.mode) != (TRIVIAL, "p_restricted"):
+        raise ValueError("a prime set applies only to the p_restricted trivial experiment")
     return runner(cfg)

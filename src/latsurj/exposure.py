@@ -76,9 +76,6 @@ class ExposureTrace:
     b: float
     final_matrix: IntMatrix
 
-    def initial_coranks(self) -> Dict[int, int]:
-        return {p: traj[0] for p, traj in self.trajectories.items()}
-
     def csv_row(self) -> str:
         d0 = ";".join(f"{p}:{traj[0]}" for p, traj in sorted(self.trajectories.items()))
         return ",".join(

@@ -207,11 +207,6 @@ class FieldTable:
             mult *= p
         return e
 
-    def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
-        return self.encode(tuple((-d) % self.p for d in self.digits(a)))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -306,10 +301,6 @@ class FqDistribution:
         return cls(fld, tuple(Fraction(1, fld.q) for _ in range(fld.q)))
 
     @classmethod
-    def point_mass(cls, fld: FieldTable, at: int = 0) -> "FqDistribution":
-        return cls(fld, tuple(Fraction(1 if x == at else 0) for x in range(fld.q)))
-
-    @classmethod
     def from_pairs(cls, fld: FieldTable, pairs: Iterable[Tuple[int, Fraction]]) -> "FqDistribution":
         w = [Fraction(0)] * fld.q
         for x, wt in pairs:
@@ -366,11 +357,15 @@ def spec_set(mu: FqDistribution, eps: float) -> SpectrumSet:
 # -- exact dot-product laws ------------------------------------------------
 
 
+def _check_coefficients(fld: FieldTable, w: Sequence[int]) -> None:
+    if any(not 0 <= wl < fld.q for wl in w):
+        raise ValueError(f"coefficients must be field elements 0..{fld.q - 1}")
+
+
 def exact_dot_distribution(mu: FqDistribution, w: Sequence[int]) -> Tuple[Fraction, ...]:
     """Exact law of sum_l xi_l * w_l by iterated convolution."""
     fld = mu.field
-    if any(not 0 <= wl < fld.q for wl in w):
-        raise ValueError(f"coefficients must be field elements 0..{fld.q - 1}")
+    _check_coefficients(fld, w)
     law = [Fraction(0)] * fld.q
     law[0] = Fraction(1)
     for wl in w:
@@ -467,6 +462,7 @@ def _psi_values(mu: FqDistribution) -> np.ndarray:
 
 def _level_function(mu: FqDistribution, w: Sequence[int]) -> np.ndarray:
     fld = mu.field
+    _check_coefficients(fld, w)
     psi = _psi_values(mu)
     f = np.zeros(fld.q)
     for wl in w:
@@ -573,10 +569,6 @@ def generator_multisets(fld: FieldTable, max_m: int) -> List[Tuple[int, ...]]:
 class SweepReport:
     cases: int
     violations: List[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def lo_exhaustive_grid(q: int, max_m: int = 6, max_den: int = 8) -> SweepReport:

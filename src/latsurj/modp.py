@@ -11,11 +11,11 @@ elimination is valid modulo every prime factor at once, and a pivot that
 is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
 the modulus.  Determinants mod p come from one stacked kernel,
 :func:`det_solve`, which eliminates a (k, n, n + s) stack [A | B] with its
-own prime per slice and also gives det A * A^-1 B (:func:`dets` is its
-s = 0 case); both kernels reduce the trailing block only every few
-columns.  Stacks of matrices mod 2 have their own bit-packed kernel
-(:func:`gf2_ranks`), and :class:`ColumnSpace` holds a growing span as its
-annihilator.
+own prime per slice and also gives det A * A^-1 B; the exact solve built
+on it is :func:`latsurj.exact_linalg.crt_solve`.  Both kernels reduce
+the trailing block only every few columns.  Stacks of matrices mod 2
+have their own bit-packed kernel (:func:`gf2_ranks`), and
+:class:`ColumnSpace` holds a growing span as its annihilator.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
     columns of a, so len(pivots) is the rank.  For composite p every
     pivot is a unit, so the same holds modulo each prime factor of p; the
     first nonzero pivot candidate that is not a unit raises NonUnitPivot.
-    The caller's array is never modified.  As in :func:`dets`, the block is
-    reduced every _lazy_columns(p) updates and the pivot column and row when read.
+    The caller's array is never modified.  As in :func:`det_solve`, the
+    block is reduced every _lazy_columns(p) updates and the pivot column
+    and row when read.
     """
     e = _residues(a, p, np.int64 if p < _WORD_LIMIT else object)
     rows, cols = e.shape
@@ -140,15 +141,6 @@ def _lazy_columns(p: int) -> int:
     Python ints (p >= 2^31) only grow a few bits in 8 columns.
     """
     return (2**63 - 1 - p) // (p - 1) ** 2 if p < _WORD_LIMIT else 8
-
-
-def dets(stack, primes: Sequence[int]) -> np.ndarray:
-    """det(stack[t]) mod primes[t] for a (k, n, n) integer stack, as an
-    array of k residues: :func:`det_solve` with no right-hand sides."""
-    a = int_array(stack)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("need a (k, n, n) stack and one prime per slice")
-    return det_solve(a, primes)[0]
 
 
 def det_solve(stack, primes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (permutation expansions, exhaustive
-enumeration over supports and subspaces, fraction-free elimination on
+enumeration over supports and subspaces, one fraction-free elimination on
 whole object rows) and exact, so it validates the optimized library paths
 without sharing code with them.
 """
@@ -9,8 +9,11 @@ without sharing code with them.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from latsurj.exact_linalg import IntMatrix
 from latsurj.modp import iter_subspaces, subspace_elements
@@ -41,16 +44,12 @@ def cokernel_brute_force(m: IntMatrix) -> bool:
 
     M is surjective iff the gcd of all rows x rows minors is 1.
     """
-    import math
-
-    from latsurj.exact_linalg import det_bareiss
-
     if m.cols < m.rows:
         return False
     rows = m.array.tolist()
     g = 0
     for cols in itertools.combinations(range(m.cols), m.rows):
-        g = math.gcd(g, det_bareiss(IntMatrix.from_rows([[row[j] for j in cols] for row in rows])))
+        g = math.gcd(g, fraction_free([[row[j] for j in cols] for row in rows])[1])
         if g == 1:
             return True
     return False
@@ -135,50 +134,42 @@ def odlyzko_violations(p: int, n_max: int, max_den: int) -> List[dict]:
     return violations
 
 
-def det_and_adjugate_product(rows, rhs=None):
-    """(det A, adj(A) @ B) for square integer rows A and an n x s integer
-    matrix B (default: no columns), exactly, by fraction-free Gauss-Jordan
-    elimination over numpy object rows; adj(A) @ B is None when A is
-    singular.
+def fraction_free(rows, rhs=None):
+    """(pivots, det, adj(A) @ B) for integer rows A (n x m) and an n x s
+    integer matrix B (default: no columns), exactly, by fraction-free
+    Gauss-Jordan elimination over numpy object rows.
 
-    Step k replaces every row i != k of [A | B] by (a_kk r_i - a_ik r_k)
-    divided by the previous pivot, which divides exactly (Nakos, Turner,
-    Williams 1997).  After n steps [A | B] is [d I | d A^-1 B] with
+    pivots are the greedy pivot columns of A over Q, so len(pivots) is its
+    rational rank.  det is det A when A is square and 0 when it is singular
+    or not square; adj(A) @ B is None unless A is square and nonsingular.
+
+    Step k takes the first row at or below k with a nonzero entry in the
+    next column and replaces every other row r_i of [A | B] by
+    (a_kc r_i - a_ic r_k) divided by the previous pivot, which divides
+    exactly (Bareiss 1968; Nakos, Turner, Williams 1997).  For a
+    nonsingular square A, [A | B] ends as [d I | d A^-1 B] with
     d = det(P A) = +-det A for the row permutation P.
     """
-    import numpy as np
-
     n = len(rows)
+    a = np.array(rows, dtype=object).reshape(n, -1)
+    cols = a.shape[1]
     b = np.zeros((n, 0), dtype=object) if rhs is None else np.array(rhs, dtype=object).reshape(n, -1)
-    m = np.hstack([np.array(rows, dtype=object).reshape(n, n), b])
-    sign, prev = 1, 1
-    for k in range(n):
-        nonzero = [i for i in range(k, n) if m[i, k] != 0]
+    m = np.hstack([a, b])
+    pivots, sign, prev = [], 1, 1
+    for c in range(cols):
+        k = len(pivots)
+        if k == n:
+            break
+        nonzero = [i for i in range(k, n) if m[i, c] != 0]
         if not nonzero:
-            return 0, None
+            continue
         if nonzero[0] != k:
             m[[k, nonzero[0]]] = m[[nonzero[0], k]]
             sign = -sign
         others = [i for i in range(n) if i != k]
-        m[others] = (m[k, k] * m[others] - m[others, k : k + 1] * m[k]) // prev
-        prev = m[k, k]
-    return sign * prev, sign * m[:, n:]
-
-
-def det_fraction_free(rows) -> int:
-    """det A by forward fraction-free (Bareiss) elimination over numpy object rows."""
-    import numpy as np
-
-    n = len(rows)
-    m = np.array(rows, dtype=object).reshape(n, n)
-    sign, prev = 1, 1
-    for k in range(n):
-        nonzero = [i for i in range(k, n) if m[i, k] != 0]
-        if not nonzero:
-            return 0
-        if nonzero[0] != k:
-            m[[k, nonzero[0]]] = m[[nonzero[0], k]]
-            sign = -sign
-        m[k + 1 :, k + 1 :] = (m[k, k] * m[k + 1 :, k + 1 :] - m[k + 1 :, k : k + 1] * m[k, k + 1 :]) // prev
-        prev = m[k, k]
-    return sign * prev if n else 1
+        m[others] = (m[k, c] * m[others] - m[others, c : c + 1] * m[k]) // prev
+        prev = m[k, c]
+        pivots.append(c)
+    if len(pivots) < n or n < cols:
+        return pivots, 0, None
+    return pivots, sign * prev, sign * m[:, cols:]

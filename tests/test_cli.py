@@ -188,6 +188,19 @@ def test_unknown_experiment_mode_exit_2(argv):
     assert out == ""
 
 
+def test_prime_set_outside_p_restricted_exit_2():
+    # all_primes runs the certifier, so a prime set would be recorded but ignored
+    argv = ["experiment", "trivial", "--n", "6", "--u", "1", "--trials", "20", "--primes", "2", "--mode", "all_primes"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and "prime set" in err.splitlines()[-1]
+    assert out == ""
+
+
+def test_threads_default_to_one():
+    args = cli.build_parser().parse_args(["experiment", "corank", "--n", "4", "--p", "2"])
+    assert args.threads == 1
+
+
 def test_config_file_and_env_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials=15\nseed=4\n")

@@ -12,24 +12,28 @@ from latsurj.exact_linalg import (
     IntMatrix,
     adjugate_rows,
     cokernel,
+    crt_solve,
     det,
-    det_bareiss,
     det_is_zero,
     dets_mod_crt,
     format_matrix,
     parse_matrix,
     smith_normal_form,
 )
-from latsurj.modp import dets, rank_mod_p
+from latsurj.modp import det_solve, rank_mod_p
 from latsurj.primes import crt_primes
 
-from oracles import det_and_adjugate_product, det_permutation_expansion
+from oracles import det_permutation_expansion, fraction_free
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def det_oracle(m):
+    return fraction_free(m.array.tolist())[1]
 
 
 # -- IntMatrix basics ---------------------------------------------------
@@ -128,7 +132,7 @@ def test_det_mod_crt_matches_bareiss_random_6x6():
     rng = random.Random(101)
     for _ in range(25):
         m = random_matrix(rng, 6, 6)
-        assert det(m) == det_bareiss(m)
+        assert det(m) == det_oracle(m)
 
 
 def test_det_agrees_with_permutation_expansion():
@@ -137,7 +141,7 @@ def test_det_agrees_with_permutation_expansion():
         n = rng.randint(1, 6)
         m = random_matrix(rng, n, n)
         reference = det_permutation_expansion(m)
-        assert det_bareiss(m) == reference
+        assert det_oracle(m) == reference
         assert det(m) == reference
         assert det_is_zero(m) == (reference == 0)
         assert det_is_zero(m.array) == (reference == 0)
@@ -148,13 +152,13 @@ def test_det_crt_with_entries_beyond_int64():
     for n in (2, 9):
         m = random_matrix(rng, n, n, -(2**64), 2**64)
         assert m.array.dtype == object
-        assert det(m) == det_bareiss(m)
+        assert det(m) == det_oracle(m)
         assert not det_is_zero(m)
         rows = m.array.tolist()
         singular = IntMatrix.from_rows(rows[:-1] + [[2 * x for x in rows[0]]])
         assert det_is_zero(singular) and det(singular) == 0
         negative = IntMatrix(n, n, [-abs(x) for x in m.array.flat])
-        assert det(negative) == det_bareiss(negative)
+        assert det(negative) == det_oracle(negative)
 
 
 def test_det_is_zero_past_a_vanishing_residue():
@@ -173,7 +177,7 @@ def test_det_large_matrix_crt_path():
     d = det(m)
     # spot-check the value against a residue the CRT never used
     p = 999999937
-    assert d % p == dets([m.array], [p])[0]
+    assert d % p == det_solve([m.array], [p])[0][0]
 
 
 def test_det_is_zero_rejects_non_integers():
@@ -192,7 +196,7 @@ def test_dets_mod_crt_batches_equal_sizes():
     singular = mats[0].array.tolist()
     singular[4] = singular[2]
     arrays = [m.array for m in mats] + [np.array(singular, dtype=object)]
-    assert dets_mod_crt(arrays) == [det_bareiss(IntMatrix.from_array(a)) for a in arrays]
+    assert dets_mod_crt(arrays) == [fraction_free(a.tolist())[1] for a in arrays]
     assert dets_mod_crt([]) == []
     with pytest.raises(ValueError):
         dets_mod_crt([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
@@ -213,21 +217,21 @@ def _record_slices(monkeypatch, fake=None):
     """Replace the stacked kernel exact_linalg calls; returns the shapes
     of the stacks it receives."""
     shapes = []
-    real = exact_linalg.dets
+    real = exact_linalg.det_solve
 
     def recording(stack, primes):
         shapes.append(np.shape(stack))
         assert len(primes) == shapes[-1][0]
         return fake(stack, primes) if fake else real(stack, primes)
 
-    monkeypatch.setattr(exact_linalg, "dets", recording)
+    monkeypatch.setattr(exact_linalg, "det_solve", recording)
     return shapes
 
 
 def test_det_is_zero_eliminates_one_slice_when_nonsingular(monkeypatch):
     shapes = _record_slices(monkeypatch)
     m = random_matrix(random.Random(5), 30, 30, 0, 1)
-    assert det_bareiss(m) != 0
+    assert det_oracle(m) != 0
     assert not det_is_zero(m)
     assert [s[0] for s in shapes] == [1]
     # a singular matrix pays for its other primes in one more stack
@@ -241,15 +245,18 @@ def test_det_is_zero_eliminates_one_slice_when_nonsingular(monkeypatch):
 
 def test_det_mod_crt_stacks_stay_under_the_cap(monkeypatch):
     # criterion 8's shape: this 400 x 400 {0, 1} matrix needs 52 primes,
-    # which come in stacks of at most 13 slices (16 MiB); the fake kernel
-    # keeps the test fast
-    shapes = _record_slices(monkeypatch, lambda stack, primes: np.zeros(len(primes), dtype=np.int64))
-    a = np.random.default_rng(2).integers(0, 2, size=(400, 400))
+    # which come in stacks of at most 13 slices (16 MiB), with s = 0 and
+    # with s = 4 right-hand columns alike; the fake kernel keeps the test fast
+    shapes = _record_slices(monkeypatch, lambda stack, primes: (np.zeros(len(primes), dtype=np.int64), stack[:, :, 400:]))
+    a = np.random.default_rng(2).integers(0, 2, size=(400, 404))
     assert exact_linalg._STACK_BYTES == 1 << 24
-    assert det(IntMatrix.from_array(a)) == 0
-    assert sum(s[0] for s in shapes) == len(exact_linalg._crt_primes(a)) > 40
-    assert len(shapes) > 1
-    assert all(s[0] * 8 * 400 * 400 <= exact_linalg._STACK_BYTES for s in shapes)
+    assert det(IntMatrix.from_array(a[:, :400])) == 0
+    for s in (0, 4):
+        shapes.clear()
+        assert crt_solve([a[:, : 400 + s]]) == [(0, None)]
+        assert sum(t[0] for t in shapes) == len(exact_linalg._crt_primes(a[:, : 400 + s])) > 40
+        assert len(shapes) > 1 and all(t[1:] == (400, 400 + s) for t in shapes)
+        assert all(t[0] * 8 * 400 * (400 + s) <= exact_linalg._STACK_BYTES for t in shapes)
 
 
 @st.composite
@@ -278,10 +285,12 @@ def adjugate_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_adjugate_rows_match_oracle(rows):
     n = len(rows)
-    d, adj = det_and_adjugate_product(rows, np.eye(n, dtype=np.int64).tolist())
+    _, d, adj = fraction_free(rows, np.eye(n, dtype=np.int64).tolist())
     got_det, got = adjugate_rows(np.array(rows, dtype=object))
     assert got_det == d and got.dtype == object
-    if any(d % p == 0 for p in exact_linalg._crt_primes(np.array(rows, dtype=object).T)):
+    # the plan of the block adjugate_rows solves, [A^T | its unit columns]
+    block = np.hstack([np.array(rows, dtype=object).T, np.eye(n, dtype=np.int64)[:, max(n - exact_linalg.ADJUGATE_ROWS, 0) :]])
+    if any(d % p == 0 for p in exact_linalg._crt_primes(block)):
         assert got.shape == (0, n)
     else:
         assert got.tolist() == adj[max(n - exact_linalg.ADJUGATE_ROWS, 0) :].tolist()
@@ -290,14 +299,61 @@ def test_adjugate_rows_match_oracle(rows):
 def test_adjugate_rows_stacks_stay_under_the_cap(monkeypatch):
     a = np.random.default_rng(3).integers(-999, 1000, size=(12, 12))  # 5 CRT primes
     det_value, rows = adjugate_rows(a)
-    assert rows.shape == (4, 12) and det_value == det_bareiss(IntMatrix.from_array(a))
-    shapes = []
-    solve = exact_linalg.det_solve
-    monkeypatch.setattr(exact_linalg, "det_solve", lambda stack, primes: shapes.append(stack.shape) or solve(stack, primes))
+    assert rows.shape == (4, 12) and det_value == fraction_free(a.tolist())[1]
+    shapes = _record_slices(monkeypatch)
     monkeypatch.setattr(exact_linalg, "_STACK_BYTES", 2 * 8 * 12 * 16)  # two slices of 12 x 16
     again = adjugate_rows(a)
     assert again[0] == det_value and again[1].tolist() == rows.tolist()
     assert len(shapes) > 1 and all(s[0] <= 2 for s in shapes)
+
+
+@st.composite
+def solve_blocks(draw):
+    """Blocks [A | B] of one shape (n, n + s), n in 1..8 and s in 0..4,
+    entries up to 1, 9, 2^62 or 2^70: A random, singular (two equal rows)
+    or of det q, the first CRT prime, which then divides det A."""
+    n, s = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 2**64)))
+        bound = draw(st.sampled_from([1, 9, 2**62, 2**70]))
+        rows = [[rng.randint(-bound, bound) for _ in range(n + s)] for _ in range(n)]
+        kind = draw(st.sampled_from(["random", "singular", "crt_prime"]))
+        if kind == "singular" and n >= 2:
+            rows[-1][:n] = rows[0][:n]
+        if kind == "crt_prime":
+            # A = diag(q, 1, ..., 1) times an upper unitriangular matrix
+            for i, row in enumerate(rows):
+                row[: i + 1] = [0] * i + [1]
+            rows[0][:n] = [crt_primes(1)[0] * x for x in rows[0][:n]]
+        blocks.append((kind, rows))
+    return blocks
+
+
+@given(solve_blocks())
+@example([("random", [[2**62, -(2**62), 2**70, -(2**70)], [-(2**62), 2**62 + 1, 3, 2**70]])])
+@example([("random", [[2, 0, 3, 5], [0, 3, 7, -4]]), ("crt_prime", [[crt_primes(1)[0], 5, 1, 2], [0, 1, 3, 4]])])
+@settings(max_examples=60, deadline=None)
+def test_crt_solve_matches_oracle(blocks):
+    got = crt_solve([np.array(rows, dtype=object) for _, rows in blocks])
+    assert len(got) == len(blocks)
+    for (kind, rows), (d, x) in zip(blocks, got):
+        n = len(rows)
+        _, expected_det, adj_b = fraction_free([row[:n] for row in rows], [row[n:] for row in rows])
+        assert d == expected_det
+        if kind == "crt_prime" or any(d % p == 0 for p in exact_linalg._crt_primes(np.array(rows, dtype=object))):
+            assert x is None
+        else:
+            assert x.dtype == object and x.tolist() == adj_b.tolist()
+
+
+def test_crt_solve_shapes():
+    assert crt_solve([]) == []
+    d, x = crt_solve([[[2, 1, 4], [1, 1, 6]]])[0]
+    assert d == 1 and x.tolist() == [[-2], [8]]
+    for blocks in ([np.ones((3, 2), dtype=np.int64)], [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)], [[1, 2]]):
+        with pytest.raises(ValueError):
+            crt_solve(blocks)
 
 
 @given(st.integers(1, 5), st.data())
@@ -310,8 +366,8 @@ def test_row_swap_negates_det(n, data):
     if n >= 2:
         swapped = list(rows)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        assert det_bareiss(IntMatrix.from_rows(swapped)) == -det_bareiss(m)
-    assert abs(det_bareiss(IntMatrix.from_array(m.array.T))) == abs(det_bareiss(m))
+        assert det(IntMatrix.from_rows(swapped)) == -det(m)
+    assert det(IntMatrix.from_array(m.array.T)) == det(m)
 
 
 def _classic_hadamard(n, k0):
@@ -327,10 +383,10 @@ def test_hadamard_bound_dominates_dets_at_unit_entries():
     for _ in range(30):
         n = rng.randint(1, 6)
         m = random_matrix(rng, n, n, -1, 1)
-        assert abs(det_bareiss(m)) <= _det_bound(m.array) <= _classic_hadamard(n, 1)
+        assert abs(det_oracle(m)) <= _det_bound(m.array) <= _classic_hadamard(n, 1)
     # equality at a Hadamard matrix, and at the all-ones row of width n
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    assert _det_bound(h) == abs(det_bareiss(IntMatrix.from_array(h))) == 16
+    assert _det_bound(h) == abs(fraction_free(h.tolist())[1]) == 16
     assert _det_bound(np.ones((3, 3), dtype=np.int64)) == _classic_hadamard(3, 1)
 
 
@@ -342,11 +398,11 @@ def test_det_bound_dominates_dets_at_any_entries():
         n = rng.randint(1, 5)
         k0 = rng.randint(1, 9)
         m = random_matrix(rng, n, n, -k0, k0)
-        assert abs(det_bareiss(m)) <= _det_bound(m.array) <= _classic_hadamard(n, k0)
+        assert abs(det_oracle(m)) <= _det_bound(m.array) <= _classic_hadamard(n, k0)
     # exact in Python ints where the squared row norms pass 2^63
     edge = np.array([[-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)]], dtype=np.int64)
     assert _det_bound(edge) == 2**126 + (2**63 - 1) ** 2
-    assert abs(det_bareiss(IntMatrix.from_array(edge))) <= _det_bound(edge)
+    assert abs(fraction_free(edge.tolist())[1]) <= _det_bound(edge)
 
 
 # -- Smith normal form ---------------------------------------------------

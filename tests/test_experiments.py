@@ -267,3 +267,13 @@ def test_unknown_modes_rejected(kind, mode):
     cfg = ExperimentConfig(kind, n=4, trials=2, master_seed=1, dist=U01, p=2, primes=(2,), mode=mode)
     with pytest.raises(ValueError, match="unknown mode"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "kind,mode", [(TRIVIAL, "all_primes"), (TRIVIAL, "default"), (CORANK, "default"), (SINGULARITY, "mod_p")]
+)
+def test_prime_set_outside_p_restricted_rejected(kind, mode):
+    # only p_restricted reads the prime set; the others would record it unused
+    cfg = ExperimentConfig(kind, n=4, trials=2, master_seed=1, dist=U01, u=1, p=2, primes=(2,), mode=mode)
+    with pytest.raises(ValueError, match="prime set applies only"):
+        run_experiment(cfg)

@@ -54,7 +54,7 @@ def test_run_exposure_two_identity():
     m = IntMatrix.from_rows([[2, 0], [0, 2]])
     trace = run_exposure(m, U01, 1.0, seed=6)
     assert trace.primes == (2,)
-    assert trace.initial_coranks() == {2: 2}
+    assert {p: traj[0] for p, traj in trace.trajectories.items()} == {2: 2}
     assert trace.achieved
 
 
@@ -249,7 +249,7 @@ def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
     elif n <= 4:  # the adjugate rows are all of adj(m0)
         assert eliminated == [p for p in trace.primes if trace.trajectories[p][0] >= 2]
     if start == "corank2" and source != "explicit":
-        assert trace.initial_coranks()[3] == trace.initial_coranks()[5] == 2
+        assert trace.trajectories[3][0] == trace.trajectories[5][0] == 2
 
 
 @given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EXPLICIT_PRIMES + (5,)), st.integers(0, 2**32))

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsurj import modp
-from latsurj.exact_linalg import IntMatrix, bareiss, cokernel, det_bareiss
+from latsurj.exact_linalg import IntMatrix, cokernel
 from latsurj.modp import (
     ColumnSpace,
     NonUnitPivot,
     int_array,
     det_solve,
-    dets,
     echelon,
     iter_subspaces,
     kernel_vector,
@@ -26,8 +25,7 @@ from latsurj.modp import (
 from latsurj.primes import crt_primes
 
 from oracles import (
-    det_and_adjugate_product,
-    det_fraction_free,
+    fraction_free,
     odlyzko_violations,
     residue_distributions,
     subspace_mass,
@@ -62,7 +60,7 @@ def test_rank_bounds_and_rational_comparison():
         m = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
-        rational_rank = len(bareiss(m)[0])
+        rational_rank = len(fraction_free(m.array.tolist())[0])
         for p in (2, 3, 5):
             r = rank_mod_p(m.array, p)
             assert r <= min(rows, cols)
@@ -128,7 +126,7 @@ def test_echelon_matches_independent_oracles(case, as_array):
     prefix_ranks = [0] + [_rank_by_smith([row[: j + 1] for row in rows], p) for j in range(m)]
     assert pivots == [j for j in range(m) if prefix_ranks[j + 1] > prefix_ranks[j]]
     if n == m:
-        assert dets([a], [p]).tolist() == [det_bareiss(IntMatrix.from_rows(rows)) % p]
+        assert det_solve([a], [p])[0].tolist() == [fraction_free(rows)[1] % p]
 
     x = kernel_vector(a, p)
     assert (x is None) == (len(pivots) == m)
@@ -174,7 +172,7 @@ def test_non_integer_entries_rejected(a):
         with pytest.raises(ValueError):
             ranks_mod_p(np.array([a, a]), p)
         with pytest.raises(ValueError):
-            dets(np.array([a]), [p])
+            det_solve(np.array([a]), [p])
     with pytest.raises(ValueError):
         ColumnSpace(5, 2).extend(np.array(a)[0])
     with pytest.raises(ValueError):
@@ -244,9 +242,9 @@ def test_dets_match_bareiss(slices):
     # one stack mixes matrices and primes; slice t is reduced mod primes[t]
     stack = np.array([rows for rows, _ in slices], dtype=object)
     primes = [p for _, p in slices]
-    expected = [det_fraction_free(rows) % p for rows, p in slices]
-    assert dets(stack, primes).tolist() == expected
-    assert dets(IntMatrix.from_rows(slices[0][0]).array[None], primes[:1]).tolist() == expected[:1]
+    expected = [fraction_free(rows)[1] % p for rows, p in slices]
+    assert det_solve(stack, primes)[0].tolist() == expected
+    assert det_solve(IntMatrix.from_rows(slices[0][0]).array[None], primes[:1])[0].tolist() == expected[:1]
 
 
 @given(det_slices(), st.integers(0, 3), st.integers(0, 2**64))
@@ -262,7 +260,7 @@ def test_det_solve_matches_adjugate_oracle(slices, s, seed):
     stack, primes, expected_dets, expected = [], [], [], []
     for rows, p in slices:
         b = [[rng.choice(entries)(rng) for _ in range(s)] for _ in range(n)]
-        d, adj_b = det_and_adjugate_product(rows, b)
+        _, d, adj_b = fraction_free(rows, b)
         stack.append([row + extra for row, extra in zip(rows, b)])
         primes.append(p)
         expected_dets.append(d % p)
@@ -270,7 +268,7 @@ def test_det_solve_matches_adjugate_oracle(slices, s, seed):
     d, x = det_solve(np.array(stack, dtype=object), primes)
     assert d.tolist() == expected_dets
     assert x.shape == (len(slices), n, s) and x.tolist() == expected
-    assert dets(np.array([rows for rows, _ in slices], dtype=object), primes).tolist() == expected_dets
+    assert det_solve(np.array([rows for rows, _ in slices], dtype=object), primes)[0].tolist() == expected_dets
 
 
 def _worst_case_growth(n):
@@ -290,13 +288,13 @@ def test_dets_lazy_reduction_worst_case(monkeypatch):
     lazy = modp._lazy_columns(p)
     assert lazy == 8
     a = _worst_case_growth(lazy + 4)  # more than L + 1 columns of updates
-    assert det_bareiss(IntMatrix.from_array(a)) == 1
+    assert fraction_free(a.tolist())[1] == 1
     residues = a % p
     assert (residues[0, 1:] == p - 1).all() and (residues[1:, 0] == p - 1).all()
-    assert dets(np.stack([a, a]), [p, CRT[1]]).tolist() == [1, 1]
+    assert det_solve(np.stack([a, a]), [p, CRT[1]])[0].tolist() == [1, 1]
     # one more column between reductions passes 2^63 and wraps
     monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
-    assert dets(a[None], [p]).tolist() != [1]
+    assert det_solve(a[None], [p])[0].tolist() != [1]
 
 
 def test_det_solve_lazy_reduction_worst_case(monkeypatch):
@@ -334,18 +332,17 @@ def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
 
 
 def test_dets_shapes():
-    assert dets(np.zeros((0, 3, 3), dtype=np.int64), []).tolist() == []
+    d, x = det_solve(np.zeros((0, 3, 3), dtype=np.int64), [])
+    assert d.tolist() == [] and x.shape == (0, 3, 0)
     d, x = det_solve(np.zeros((0, 3, 5), dtype=np.int64), [])
     assert d.shape == (0,) and x.shape == (0, 3, 2)
     with pytest.raises(ValueError):
         det_solve(np.zeros((1, 3, 2), dtype=np.int64), [5])
-    assert dets([[[7]]], [5]).tolist() == [2]
+    assert det_solve([[[7]]], [5])[0].tolist() == [2]
     with pytest.raises(ValueError):
-        dets(np.zeros((2, 3, 3), dtype=np.int64), [5])
+        det_solve(np.zeros((2, 3, 3), dtype=np.int64), [5])
     with pytest.raises(ValueError):
-        dets(np.zeros((1, 2, 3), dtype=np.int64), [5])
-    with pytest.raises(ValueError):
-        dets(np.zeros((3, 3), dtype=np.int64), [5, 7, 11])
+        det_solve(np.zeros((3, 3), dtype=np.int64), [5, 7, 11])
 
 
 # -- batched ranks -------------------------------------------------------
