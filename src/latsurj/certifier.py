@@ -1,16 +1,19 @@
 """Surjectivity certification for integer matrices M: Z^m -> Z^n.
 
 M is surjective exactly when the gcd of its maximal minors, the index of
-its image lattice, is 1.  The decider finds a nonsingular maximal minor by
-elimination modulo the prime 2^31 - 1 and takes the gcd g of two such
-minors.  When g > 1 it eliminates M modulo g with unit pivots.  A pivot
-that is a zero divisor splits g by a gcd (dynamic evaluation, the D5
-principle of Della Dora, Dicrescenzo and Duval), and each part is settled
-on its own, smallest first: full rank modulo a part gives a column set
-whose minor is a unit modulo that part, and lower rank gives a row vector
-that annihilates M modulo that part.  A square M takes det M and a few
-rows of its adjugate from one CRT elimination instead: a row nonzero
-modulo |det M| annihilates M modulo |det M|.  No step factors an integer
+its image lattice, is 1.  One CRT solve gives the minor d on the first n
+columns A (on the greedy pivot columns modulo 2^31 - 1 when that prime
+divides d) and a few rows of adj(A).  By Cramer's rule these rows times
+the other columns B are the swap minors, A with one column replaced, and
+their gcd g with d is nearly always the index: the denominators of
+A^-1 B carry all of det A but the index (Abbott, Bronstein and Mulders,
+ISSAC 1999).  When g > 1, a row w of adj(A) nonzero modulo g annihilates
+M modulo g, as w A = d e_j and w B are 0 modulo g.  Otherwise M is
+eliminated modulo g with unit pivots.  A pivot that is a zero divisor
+splits g by a gcd (dynamic evaluation, the D5 principle of Della Dora,
+Dicrescenzo and Duval), and each part is settled on its own, smallest
+first, by a column set whose minor is a unit modulo that part or by a row
+vector that annihilates M modulo that part.  No step factors an integer
 or tests one for primality.
 
 Every verdict ships inside a :class:`Certificate` that
@@ -48,12 +51,13 @@ _PIVOT_PRIME = 2**31 - 1
 class Certificate:
     """Verifiable record of a surjectivity decision (certificate format 2).
 
-    Surjective: `columns` and `columns_alt` index two nonsingular maximal
-    minors, `determinant` and `determinant_alt` (both alt fields are None
-    when every other candidate minor is singular), and `gcd_value` is
-    their gcd.  When it exceeds 1, `extra_columns` lists one more column
-    set per part of it.  All the listed minors together have gcd 1, and
-    the index of the image lattice divides it.
+    Surjective: `determinant` is the nonsingular maximal minor on
+    `columns`, `determinant_alt` the one on `columns_alt`, the first swap
+    of one of those columns in place that lowers the gcd (both None when
+    none does), and `gcd_value` their gcd.  `extra_columns` lists the
+    later swaps that lowered it, then one set per part of what remained.
+    All the listed minors together have gcd 1, and the index of the image
+    lattice divides it.
 
     Not surjective: `reason` is "shape" (fewer columns than rows) or
     "annihilator", with a `modulus` N >= 2 and a row vector `annihilator`
@@ -152,66 +156,53 @@ def _annihilator(a: np.ndarray, n: int) -> Certificate:
     return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=modulus, annihilator=w)
 
 
-def _certify_square(a: np.ndarray) -> Certificate:
-    """The certificate of a square M from det M = d and rows of adj(M):
-    w M = d e_j, so a row w != 0 modulo g = |d| > 1 annihilates M modulo g."""
-    d, rows = adjugate_rows(a)
-    if d % _PIVOT_PRIME == 0:
-        # rank below rows modulo the pivot prime, as for any other shape
-        return _annihilator(a, _PIVOT_PRIME)
-    g = abs(d)
-    if g == 1:
-        return Certificate(verdict=SURJECTIVE, columns=tuple(range(len(a))), determinant=d, gcd_value=1)
-    for w in rows % g:
-        if w.any():
-            return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=g, annihilator=tuple(w.tolist()))
-    return _annihilator(a, g)
-
-
 def is_surjective(m: IntMatrix) -> Certificate:
     """Decide surjectivity of M: Z^cols -> Z^rows with a certificate."""
     if m.cols < m.rows:
         return Certificate(verdict=NOT_SURJECTIVE, reason="shape")
 
-    a = m.array
-    if m.is_square:
-        return _certify_square(a)
-    # rank below rows modulo the pivot prime already rules surjectivity out
-    pivots = echelon(a, _PIVOT_PRIME)[1]
-    if len(pivots) < m.rows:
-        return _annihilator(a, _PIVOT_PRIME)
+    a, n = m.array, m.rows
+    columns = tuple(range(n))
+    d, rows = adjugate_rows(a[:, columns])
+    if d % _PIVOT_PRIME == 0:
+        # the greedy pivot columns modulo the pivot prime instead; rank
+        # below rows there already rules surjectivity out
+        columns = tuple(echelon(a, _PIVOT_PRIME)[1])
+        if len(columns) < n:
+            return _annihilator(a, _PIVOT_PRIME)
+        d, rows = adjugate_rows(a[:, columns])
 
-    # d1 and the first candidate minor are one stacked call; later
-    # candidates run one at a time, only while the earlier ones are singular
-    columns = tuple(pivots)
-    candidates = [tuple(sorted(pivots[:-1] + [j])) for j in sorted(set(range(m.cols)) - set(pivots))]
-    d1, *first = _minors(m, columns, *candidates[:1])
-    if d1 == 0:
-        # the minor is nonzero modulo the pivot prime; guard the CRT anyway
-        raise RuntimeError("pivot submatrix unexpectedly singular")
+    # row t of `rows` is row i = n - len(rows) + t of adj(A), so by Cramer's
+    # rule (rows @ B)[t, k] is the minor of A with column i replaced in
+    # place by column k of B; the last column of A is replaced first
+    rest = sorted(set(range(m.cols)) - set(columns))
+    swaps = rows @ a[:, rest]
+    g, kept = abs(d), []
+    for t in reversed(range(len(rows))):
+        i = n - len(rows) + t
+        for j, minor in zip(rest, swaps[t]):
+            if math.gcd(g, minor) < g:
+                g = math.gcd(g, minor)
+                kept.append((columns[:i] + (j,) + columns[i + 1 :], minor))
 
-    columns_alt: Optional[Tuple[int, ...]] = None
-    d2: Optional[int] = None
-    for candidate in candidates:
-        dc = first.pop() if first else _minors(m, candidate)[0]
-        if dc != 0:
-            columns_alt, d2 = candidate, dc
-            break
-
-    g = math.gcd(d1, d2) if d2 is not None else abs(d1)
-    extra: List[Tuple[int, ...]] = []
+    # w A = d e_j and w B, a row of swaps, are 0 modulo g
+    for w in rows % g:
+        if w.any():
+            return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=g, annihilator=tuple(w.tolist()))
+    extra = [s for s, _ in kept[1:]]
     for q, part_pivots in _parts(g, lambda q: echelon(a, q)[1]):
-        if len(part_pivots) < m.rows:
+        if len(part_pivots) < n:
             return _annihilator(a, q)
         # unit pivots: the minor on these columns is a unit modulo q
         extra.append(tuple(part_pivots))
+    columns_alt, d2 = kept[0] if kept else (None, None)
     return Certificate(
         verdict=SURJECTIVE,
         columns=columns,
-        determinant=d1,
+        determinant=d,
         columns_alt=columns_alt,
         determinant_alt=d2,
-        gcd_value=g,
+        gcd_value=math.gcd(d, d2) if kept else abs(d),
         extra_columns=tuple(extra) if extra else None,
     )
 

@@ -51,28 +51,13 @@ from .primes import FactorizationError
 
 ENV_PREFIX = "LATSURJ_"
 
-# flag -> (type, default); used for config-file and environment overrides
-_OVERRIDABLE = {
-    "n": int,
-    "m": int,
-    "u": int,
-    "p": int,
-    "q": int,
-    "k": int,
-    "dist": str,
-    "trials": int,
-    "seed": int,
-    "B": float,
-    "threads": int,
-    "out": str,
-    "format": str,
-    "tolerance": float,
-    "min_frequency": float,
-    "max_singular": int,
-    "mode": str,
-    "primes": str,
-    "kind": str,
-}
+# option names that a config-file line or a LATSURJ_<NAME> variable may set;
+# each applies only to an option flag of the chosen subcommand, whose type
+# and choices it passes like the flag itself
+_OVERRIDABLE = (
+    "n", "m", "u", "p", "q", "k", "dist", "trials", "seed", "B", "threads", "out", "format",
+    "tolerance", "min_frequency", "max_singular", "mode", "primes", "kind",
+)
 
 
 def _read_config_file(path: str) -> dict:
@@ -89,8 +74,8 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply_overrides(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill in non-flag values from config file and environment.
+def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]) -> None:
+    """Fill in option flags left unset from config file and environment.
 
     Explicit flags win; config beats defaults; environment beats config.
     """
@@ -99,14 +84,24 @@ def _apply_overrides(args: argparse.Namespace, argv: Sequence[str]) -> None:
     for token in argv:
         if token.startswith("--"):
             explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, cast in _OVERRIDABLE.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    for action in command._actions:
+        key = action.dest
+        if key not in _OVERRIDABLE or not action.option_strings or key in explicit:
             continue
-        env_val = os.environ.get(ENV_PREFIX + key.upper())
-        raw = env_val if env_val is not None else file_values.get(key)
-        if raw is not None:
-            setattr(args, attr, cast(raw))
+        source = ENV_PREFIX + key.upper()
+        raw = os.environ.get(source)
+        if raw is None:
+            source, raw = f"config {key}", file_values.get(key)
+        if raw is None:
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise ValueError(f"{source}={raw!r} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{source}={raw!r}: choose from {', '.join(map(str, action.choices))}")
+        setattr(args, key, value)
 
 
 def _log_config(args: argparse.Namespace) -> None:
@@ -367,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        _apply_overrides(args, argv)
+        _apply_overrides(parser, args, argv)
         _log_config(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError, RuntimeError, FactorizationError) as exc:

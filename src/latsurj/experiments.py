@@ -34,7 +34,7 @@ from .ensembles import (
 )
 from .exact_linalg import det_is_zero
 from .exposure import ExposureTrace, SingularStart, run_exposure, u_budget
-from .modp import gf2_ranks, pack_gf2, ranks_mod_p
+from .modp import gf2_ranks, pack_gf2, rank_mod_p
 from .predictions import (
     Prediction,
     corank_prediction,
@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
     def to_dict(self) -> dict:
         out = {
@@ -221,8 +223,8 @@ def _iid_ranks(cfg: ExperimentConfig, m: int, ps: Tuple[int, ...]) -> List[Tuple
             arr = sample_array(EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
             for p in ps:
                 held[p].append(pack_gf2(arr) if p == 2 else arr)
-        ranks = [gf2_ranks(held[p], m) if p == 2 else ranks_mod_p(held[p], p) for p in ps]
-        return list(zip(*(r.tolist() for r in ranks)))
+        ranks = [gf2_ranks(held[p], m).tolist() if p == 2 else [rank_mod_p(a, p) for a in held[p]] for p in ps]
+        return list(zip(*ranks))
 
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * cfg.n * m)))
     chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]

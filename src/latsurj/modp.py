@@ -287,18 +287,6 @@ def gf2_ranks(packed: np.ndarray, cols: int) -> np.ndarray:
     return ranks
 
 
-def ranks_mod_p(stack, p: int) -> np.ndarray:
-    """Rank over F_p (p prime) of each matrix in a (T, n, m) integer stack, as int64[T].
-
-    p = 2 packs the stack into bits and eliminates all trials at once;
-    other primes run echelon on one matrix at a time.
-    """
-    stack = int_array(stack)
-    if p == 2:
-        return gf2_ranks(pack_gf2(stack), stack.shape[-1])
-    return np.array([rank_mod_p(a, p) for a in stack], dtype=np.int64)
-
-
 # -- incremental column spaces ------------------------------------------
 
 

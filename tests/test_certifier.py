@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from latsurj.certifier import Certificate, is_surjective, verify_certificate
 from latsurj.exact_linalg import (
+    ADJUGATE_ROWS,
     IntMatrix,
     cokernel,
     det,
@@ -203,7 +205,9 @@ def test_entries_beyond_int64():
         assert verify_certificate(big, cert)
         assert cert.is_surjective == cokernel(m).is_trivial
         reasons.append((cert.reason, cert.modulus))
-    assert reasons[0] == ("annihilator", 2)
+    # the first case has det A = 4 on columns (0, 1) and a swap minor of 4,
+    # so a row of adj(A) annihilates it modulo 4
+    assert reasons[0] == ("annihilator", 4)
 
 
 # entries on both sides of the int64 limits, and well past them
@@ -267,12 +271,22 @@ def test_int64_boundary_entries(case):
 
 
 def test_tampered_certificates_rejected():
-    # surjective, but only via a gcd of 2: the one maximal minor on (0, 1)
-    # is 2, and full rank mod 2 gives the extra minor on (1, 2), which is -1
+    # the swap of column 0 for column 2 in place has minor 1; sorted, the
+    # same columns give -1
     m = IntMatrix.from_rows([[2, 0, 1], [0, 1, 0]])
     cert = is_surjective(m)
+    assert (cert.determinant, cert.columns_alt, cert.determinant_alt, cert.gcd_value) == (2, (2, 1), 1, 1)
+    assert cert.extra_columns is None and verify_certificate(m, cert)
+    assert not verify_certificate(m, replace(cert, columns_alt=(1, 2)))
+
+    # surjective, but only via a gcd of 2: det A = 4 on (0, 1), the swap on
+    # (0, 3) lowers it to 2, every row of adj(A) vanishes modulo 2, and full
+    # rank mod 2 gives the extra minor on (2, 3), which is 1
+    m = IntMatrix.from_rows([[2, 0, 1, 0], [0, 2, 0, 1]])
+    cert = is_surjective(m)
     assert cert.is_surjective and verify_certificate(m, cert)
-    assert (cert.determinant, cert.gcd_value, cert.extra_columns) == (2, 2, ((1, 2),))
+    assert (cert.determinant, cert.columns_alt, cert.determinant_alt) == (4, (0, 3), 2)
+    assert (cert.gcd_value, cert.extra_columns) == (2, ((2, 3),))
     # drop the extra minor: gcd 2 remains
     assert not verify_certificate(m, replace(cert, extra_columns=None))
     assert not verify_certificate(m, replace(cert, extra_columns=()))
@@ -289,13 +303,7 @@ def test_tampered_certificates_rejected():
     assert not verify_certificate(m, replace(cert, verdict="not_surjective"))
 
     # the second minor and the extra minors go through the same checks in
-    # the verifier's stacked call: here the first candidate (0, 2) is
-    # singular, and the extra minor on (1, 2) is -1
-    m = IntMatrix.from_rows([[2, 0, 1, 1], [0, 1, 0, 1]])
-    cert = is_surjective(m)
-    assert cert.columns_alt == (0, 3) and cert.determinant_alt == 2
-    assert cert.extra_columns == ((1, 2),)
-    assert verify_certificate(m, cert)
+    # the verifier's stacked call
     for columns in (
         (0, -1),  # negative: numpy would read column 3 and the same minor
         (-4, 3),
@@ -310,19 +318,18 @@ def test_tampered_certificates_rejected():
     ):
         assert not verify_certificate(m, replace(cert, columns_alt=columns))
         # next to a unit minor, only the checks on the bad set can reject
-        assert not verify_certificate(m, replace(cert, extra_columns=((1, 2), columns)))
-    assert not verify_certificate(m, replace(cert, extra_columns=((-3, 2),)))  # (1, 2) from the end
+        assert not verify_certificate(m, replace(cert, extra_columns=((2, 3), columns)))
+    assert not verify_certificate(m, replace(cert, extra_columns=((-2, 3),)))  # (2, 3) from the end
     assert not verify_certificate(m, replace(cert, determinant_alt=None))
     assert not verify_certificate(m, replace(cert, determinant_alt=-2))
     # a second determinant with no columns to check it on
     assert not verify_certificate(m, replace(cert, columns_alt=None))
     # extra minors that share the factor 2 with the gcd: the minors on
-    # (0, 1), (0, 2) and (0, 3) are 2, 0 and 2
+    # (0, 1), (0, 2) and (0, 3) are 4, 0 and 2
     for extra in (((0, 1),), ((0, 2),), ((0, 3),), ((0, 3), (0, 1))):
         assert not verify_certificate(m, replace(cert, extra_columns=extra))
-    # any listed minors with gcd 1 prove surjectivity: (1, 3) and (2, 3)
-    # give -1 and 1
-    assert verify_certificate(m, replace(cert, extra_columns=((1, 3),)))
+    # any listed minors with gcd 1 prove surjectivity: (3, 2) gives -1
+    assert verify_certificate(m, replace(cert, extra_columns=((3, 2),)))
     assert verify_certificate(m, replace(cert, extra_columns=((0, 1), (2, 3))))
 
     # square: row 0 of adj(M) = diag(3, 2), nonzero modulo det M = 6
@@ -342,49 +349,126 @@ def test_tampered_certificates_rejected():
         assert not verify_certificate(m, bad)
 
 
-def _search_one_at_a_time(m, pivots):
-    """The certifier's second-minor search, one candidate per determinant."""
-    for j in sorted(set(range(m.cols)) - set(pivots)):
-        candidate = tuple(sorted(list(pivots[:-1]) + [j]))
-        d = det(IntMatrix.from_array(m.array[:, candidate]))
-        if d != 0:
-            return candidate, d
-    return None, None
-
-
-def test_second_minor_search_matches_one_at_a_time(monkeypatch):
+def _counting(monkeypatch, names):
+    """A Counter of the calls the certifier makes to these names."""
     import latsurj.certifier as cert_mod
 
-    batches = []
-    real = cert_mod.dets_mod_crt
+    calls = Counter()
+    for name in names:
+        def record(*args, _real=getattr(cert_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
 
-    def recording(arrays):
-        batches.append(len(arrays))
-        return real(arrays)
+        monkeypatch.setattr(cert_mod, name, record)
+    return calls
 
-    monkeypatch.setattr(cert_mod, "dets_mod_crt", recording)
+
+DECIDER_CALLS = ("adjugate_rows", "echelon", "dets_mod_crt", "left_kernel_vector")
+
+
+def test_independent_first_columns_take_one_adjugate_solve(monkeypatch):
+    calls = _counting(monkeypatch, DECIDER_CALLS)
     rng = random.Random(61)
     n = 12
-    for copies in (1, 2, 3):
-        # a unimodular block on columns 0..n-1, then three more columns of
-        # which the first `copies` repeat column 0: as many candidate minors
-        # are singular before one is not
+    for copies in (0, 1, 2, 3):
+        # A, the first n columns, is unit upper triangular but for its last
+        # diagonal entry 2, and the other columns end in 1, so the swap of
+        # A's last column for one of them has minor 1; the first `copies`
+        # of them repeat column 0, and every swap for one of those is 0
         a = random_matrix(rng, n, n + 3, 0, 1).array.copy()
-        a[:, :n] = np.triu(a[:, :n], 1) + np.eye(n, dtype=np.int64)
-        a[n - 1, n:] = 1  # the minor replacing column n-1 by j is a[n-1, j]
+        a[:, :n] = np.triu(a[:, :n], 1) + np.diag([1] * (n - 1) + [2])
+        a[n - 1, n:] = 1
         a[:, n : n + copies] = a[:, [0]]
         m = IntMatrix.from_array(a)
-        batches.clear()
+        calls.clear()
         cert = is_surjective(m)
-        assert cert.columns == tuple(range(n)) and cert.determinant == 1
-        assert (cert.columns_alt, cert.determinant_alt) == _search_one_at_a_time(m, cert.columns)
+        assert calls == {"adjugate_rows": 1}
         if copies < 3:
-            assert cert.columns_alt == tuple(range(n - 1)) + (n + copies,)
+            assert (cert.columns, cert.determinant) == (tuple(range(n)), 2)
+            assert (cert.columns_alt, cert.determinant_alt) == (tuple(range(n - 1)) + (n + copies,), 1)
+            assert cert.gcd_value == 1 and cert.extra_columns is None
         else:
-            assert cert.columns_alt is None
-        # d1 and the first candidate in one call, then one call per candidate
-        assert batches == [2] + [1] * min(copies, 2)
+            # B lies in the span of A, so the index is det A = 2, and the
+            # last row of adj(A) = 2 A^-1 is odd in its last entry
+            assert (cert.reason, cert.modulus) == ("annihilator", 2)
         assert verify_certificate(m, cert)
+
+
+def _swap_scan(rows, columns):
+    """The swaps the decider keeps, recomputed with the fraction-free oracle:
+    (column set, minor) for each swap of one of the last ADJUGATE_ROWS
+    columns of A in place, the last first, that lowers the gcd."""
+    n, cols = len(rows), len(rows[0])
+    g, kept = abs(fraction_free([[row[j] for j in columns] for row in rows])[1]), []
+    for i in reversed(range(max(n - ADJUGATE_ROWS, 0), n)):
+        for j in sorted(set(range(cols)) - set(columns)):
+            swap = columns[:i] + (j,) + columns[i + 1 :]
+            minor = fraction_free([[row[c] for c in swap] for row in rows])[1]
+            if math.gcd(g, minor) < g:
+                g = math.gcd(g, minor)
+                kept.append((swap, minor))
+    return kept
+
+
+def test_swap_minors_are_the_minors_of_their_column_sets():
+    # every kept swap against the oracle, also past 2^63 after a unimodular
+    # row operation with multiplier 2^64 + 13, which keeps every minor
+    rng = random.Random(67)
+    checked = 0
+    for case in range(60):
+        n = rng.randint(1, 7)
+        m = random_matrix(rng, n, n + rng.randint(1, 3), *rng.choice([(0, 1), (-3, 3), (0, 2)]))
+        rows = m.array.tolist()
+        if case % 2 and n > 1:
+            rows[0] = [x + (2**64 + 13) * y for x, y in zip(rows[0], rows[1])]
+        big = IntMatrix.from_rows(rows)
+        cert = is_surjective(big)
+        assert verify_certificate(big, cert)
+        if cert.is_surjective:
+            kept = _swap_scan(rows, cert.columns)
+            listed = [cert.columns_alt] + list(cert.extra_columns or ())
+            assert [s for s, _ in kept] == listed[: len(kept)]
+            assert cert.determinant_alt == (kept[0][1] if kept else None)
+            checked += len(kept)
+    assert checked > 20
+
+
+def test_fallback_to_pivot_columns_when_the_first_are_dependent(monkeypatch):
+    calls = _counting(monkeypatch, DECIDER_CALLS)
+    p = 2**31 - 1
+    # a zero first column: the greedy pivots modulo p are (1, 2)
+    m = IntMatrix.from_rows([[0, 1, 0, 1], [0, 0, 1, 1]])
+    cert = is_surjective(m)
+    assert (cert.columns, cert.determinant, cert.gcd_value) == ((1, 2), 1, 1)
+    assert calls == {"adjugate_rows": 2, "echelon": 1}
+    assert verify_certificate(m, cert)
+    # the same pivots, with a gcd of 2 that neither the swaps nor adj(A)
+    # settle: rank 1 modulo 2 gives the annihilator (1, 1)
+    calls.clear()
+    m = IntMatrix.from_rows([[0, 2, 0, 1], [0, 0, 2, 1]])
+    cert = is_surjective(m)
+    assert (cert.modulus, cert.annihilator) == (2, (1, 1))
+    assert calls == {"adjugate_rows": 2, "echelon": 2, "left_kernel_vector": 1}
+    assert verify_certificate(m, cert)
+    # rank 1 modulo p but 2 over Q: the index is p
+    calls.clear()
+    m = IntMatrix.from_rows([[1, 2, 3], [p + 1, 2, 3]])
+    cert = is_surjective(m)
+    assert (cert.reason, cert.modulus) == ("annihilator", p)
+    assert calls == {"adjugate_rows": 1, "echelon": 1, "left_kernel_vector": 1}
+    assert verify_certificate(m, cert) and not cokernel(m).is_trivial
+
+
+def test_det_a_crt_prime_takes_the_residual_elimination(monkeypatch):
+    # det A is the first CRT prime, so no rows of adj(A) come back, no swap
+    # is scanned, and elimination modulo det A finds the pivots (0, 1, 3)
+    calls = _counting(monkeypatch, DECIDER_CALLS)
+    q = crt_primes(1)[0]
+    m = IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, q, 1]])
+    cert = is_surjective(m)
+    assert (cert.determinant, cert.columns_alt, cert.gcd_value, cert.extra_columns) == (q, None, q, ((0, 1, 3),))
+    assert calls == {"adjugate_rows": 1, "echelon": 1}
+    assert verify_certificate(m, cert)
 
 
 def test_forged_surjective_verdict_rejected():
@@ -498,10 +582,13 @@ def test_snf_fallback_certificates():
     scaled = IntMatrix.from_rows([[2, 0, 2], [0, 2, 2]])
     assert not cokernel(scaled).is_trivial
     cert = certify_without_exact_tools(scaled)
-    assert (cert.verdict, cert.modulus) == ("not_surjective", 2)
+    # det A = 4, both swap minors are 4, and row (2, 0) of adj(A) is 2 modulo 4
+    assert (cert.verdict, cert.modulus, cert.annihilator) == ("not_surjective", 4, (2, 0))
 
+    # the swap of column 0 for column 2 has minor 1 and settles the gcd
     cert = certify_without_exact_tools(IntMatrix.from_rows([[hard, 2 * hard, 1]]))
-    assert cert.is_surjective and cert.gcd_value == hard and cert.extra_columns == ((2,),)
+    assert cert.is_surjective and (cert.determinant, cert.columns_alt, cert.gcd_value) == (hard, (2,), 1)
+    assert cert.extra_columns is None
     cert = certify_without_exact_tools(IntMatrix.from_rows([[hard, 2 * hard, 3 * hard]]))
     assert (cert.verdict, cert.modulus, cert.annihilator) == ("not_surjective", hard, (1,))
 

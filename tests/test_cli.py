@@ -225,6 +225,51 @@ def test_config_file_and_env_overrides(tmp_path):
     assert '"trials": 35' in err
 
 
+TRIVIAL_ARGV = ["experiment", "trivial", "--n", "4", "--u", "1", "--trials", "5", "--tolerance", "0.9"]
+
+
+def test_overrides_leave_the_experiment_kind_alone(tmp_path):
+    # the kind of an experiment is a positional argument, not an option flag
+    code, out, _ = run_cli(TRIVIAL_ARGV, env_extra={"LATSURJ_KIND": "corank"})
+    assert code == 0 and json.loads(out)["config"]["experiment"] == "trivial_cokernel"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=corank\n")
+    code, out, _ = run_cli(["--config", str(cfg), *TRIVIAL_ARGV])
+    assert code == 0 and json.loads(out)["config"]["experiment"] == "trivial_cokernel"
+    # it used to end in a KeyError traceback
+    code, out, _ = run_cli(TRIVIAL_ARGV, env_extra={"LATSURJ_KIND": "bogus"})
+    assert code == 0 and json.loads(out)["config"]["experiment"] == "trivial_cokernel"
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (TRIVIAL_ARGV, {"LATSURJ_FORMAT": "xml"}),
+        (["sample", "--n", "3"], {"LATSURJ_KIND": "bogus"}),
+        (["experiment", "corank", "--n", "4", "--p", "2"], {"LATSURJ_TRIALS": "many"}),
+    ],
+)
+def test_override_outside_the_flag_choices_or_type_exit_2(argv, env):
+    code, out, err = run_cli(argv, env_extra=env)
+    (name,) = env
+    assert code == 2 and err.splitlines()[-1].startswith(f"error: {name}=")
+    assert out == ""
+
+
+def test_sample_kind_still_overridable():
+    explicit = run_cli(["sample", "--n", "3", "--u", "1", "--kind", "symmetric_plus"])
+    assert explicit[0] == 0
+    assert run_cli(["sample", "--n", "3", "--u", "1"], env_extra={"LATSURJ_KIND": "symmetric_plus"})[:2] == explicit[:2]
+    assert run_cli(["sample", "--n", "3", "--u", "1"])[1] != explicit[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(threads):
+    code, out, err = run_cli(["experiment", "corank", "--n", "4", "--p", "2", "--trials", "3", "--threads", threads])
+    assert code == 2 and err.splitlines()[-1] == "error: threads must be at least 1"
+    assert out == ""
+
+
 def test_exposure_csv_rows_per_run():
     code, out, _ = run_cli(
         [

@@ -277,3 +277,10 @@ def test_prime_set_outside_p_restricted_rejected(kind, mode):
     cfg = ExperimentConfig(kind, n=4, trials=2, master_seed=1, dist=U01, u=1, p=2, primes=(2,), mode=mode)
     with pytest.raises(ValueError, match="prime set applies only"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    # a worker count below 1 used to run serially and be recorded as given
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2, threads=threads)

@@ -19,10 +19,14 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
-def _called_names(module):
-    # names called in a module, by name or through a module attribute
+def _called_names(module, function=None):
+    # names called in a module, or in one of its top-level functions, by
+    # name or through a module attribute
+    tree = ast.parse((SRC / module).read_text())
+    if function is not None:
+        tree = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
     called = set()
-    for node in ast.walk(ast.parse((SRC / module).read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
@@ -44,3 +48,11 @@ def test_exposure_calls_no_smith_form():
     called = _called_names("exposure.py")
     assert "cokernel" not in called
     assert not [name for name in called if name and name.startswith("smith_")]
+
+
+def test_decider_takes_no_minors_one_at_a_time():
+    # is_surjective reads every minor it needs off one adjugate solve and
+    # its swaps; only the verifier computes minors of listed column sets
+    called = _called_names("certifier.py", "is_surjective")
+    assert "adjugate_rows" in called
+    assert not called & {"dets_mod_crt", "_minors", "det"}
