@@ -32,7 +32,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, adjugate_rows, dets_mod_crt
+from .exact_linalg import IntMatrix, adjugate_rows, crt_solve, dets_mod_crt
 from .modp import NonUnitPivot, echelon, left_kernel_vector
 
 # Never called here.  The benchmark's per-layer trace still wraps these two
@@ -104,13 +104,40 @@ def _listed(value):
     return [_listed(x) for x in value] if isinstance(value, tuple) else value
 
 
-def _minors(m: IntMatrix, *column_sets) -> List[int]:
-    """Determinants of the square submatrices of M on the given column
-    sets, all in one stacked CRT elimination."""
-    sets = [[operator.index(j) for j in columns] for columns in column_sets]
-    if any(j < 0 or j >= m.cols for idx in sets for j in idx):
-        raise IndexError("column index out of range")
-    return dets_mod_crt([m.array[:, idx] for idx in sets])
+def _column_set(m: IntMatrix, columns) -> Tuple[int, ...]:
+    """columns as distinct column indices of M, one per row."""
+    s = tuple(operator.index(j) for j in columns)
+    if len(s) != m.rows or len(set(s)) != m.rows or not all(0 <= j < m.cols for j in s):
+        raise ValueError("not a maximal column set")
+    return s
+
+
+def _minors(m: IntMatrix, sets: List[Tuple[int, ...]]) -> List[int]:
+    """The maximal minors of M on column sets of _column_set.
+
+    A = M[:, sets[0]].  One CRT solve of [A | C], C the distinct columns
+    that the sets differing from sets[0] in one position bring in, gives
+    det A and, by Cramer's rule, the minor of the set with column j at
+    position i as X[i, C.index(j)], X = det A * A^-1 C; only the rows of X
+    from the first such position on are solved.  The other sets, and all
+    of them when X is None, take one more stacked CRT call.
+    """
+    a, base = m.array, sets[0]
+    swaps = {}  # set index -> (position, column brought in)
+    for t, s in enumerate(sets[1:], 1):
+        differ = [i for i, (j, k) in enumerate(zip(base, s)) if j != k]
+        if len(differ) == 1:
+            swaps[t] = (differ[0], s[differ[0]])
+    brought = sorted({j for _, j in swaps.values()})
+    first = min((i for i, _ in swaps.values()), default=len(base))
+    d, x = crt_solve([a[:, list(base) + brought]], first)[0]
+    minors = {0: d}
+    if x is not None:
+        minors.update((t, x[i - first, brought.index(j)]) for t, (i, j) in swaps.items())
+    rest = [t for t in range(len(sets)) if t not in minors]
+    if rest:
+        minors.update(zip(rest, dets_mod_crt([a[:, sets[t]] for t in rest])))
+    return [minors[t] for t in range(len(sets))]
 
 
 def _split(n: int, d: int) -> List[int]:
@@ -210,10 +237,14 @@ def is_surjective(m: IntMatrix) -> Certificate:
 def verify_certificate(m: IntMatrix, cert: Certificate) -> bool:
     """Re-check every claim of a certificate from scratch.
 
-    A surjective verdict costs one stacked CRT call over the listed
-    column sets and a gcd; an annihilator costs one exact product w M mod
-    N.  No rank, factoring or primality test is involved.  Returns False
-    on any mismatch instead of raising.
+    A surjective verdict costs one CRT solve of [A | C], A on `columns`
+    and C the columns that the listed one-column swaps in place bring in:
+    by Cramer's rule it gives det A and every swap minor, solving only the
+    rows from the first swapped position on.  Any other listed set, and
+    every set when a CRT prime divides det A, takes one more stacked CRT
+    call; then one gcd.  An annihilator costs one exact product w M mod N.
+    No rank, factoring or primality test is involved.  Returns False on
+    any mismatch instead of raising.
     """
     try:
         return _verify(m, cert)
@@ -240,10 +271,7 @@ def _verify(m: IntMatrix, cert: Certificate) -> bool:
         return False
     sets = [cert.columns] if cert.columns_alt is None else [cert.columns, cert.columns_alt]
     claimed = [cert.determinant, cert.determinant_alt][: len(sets)]
-    listed = sets + list(cert.extra_columns or ())
-    if any(len(s) != m.rows or len(set(s)) != m.rows for s in listed):
-        return False
-    minors = _minors(m, *listed)
+    minors = _minors(m, [_column_set(m, s) for s in sets + list(cert.extra_columns or ())])
     if minors[: len(sets)] != claimed or 0 in claimed:
         return False
     return cert.gcd_value == math.gcd(*claimed) and math.gcd(*minors) == 1

@@ -80,10 +80,7 @@ def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, 
     Explicit flags win; config beats defaults; environment beats config.
     """
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+    explicit = _explicit(argv)
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     for action in command._actions:
         key = action.dest
@@ -102,6 +99,16 @@ def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, 
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{source}={raw!r}: choose from {', '.join(map(str, action.choices))}")
         setattr(args, key, value)
+
+
+def _explicit(argv: Sequence[str]) -> set:
+    """The destinations argv sets, as argparse resolves its flags (unique
+    prefixes and --name=value included): a parse with no defaults."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices.values()
+    for action in (a for p in (parser, *subparsers) for a in p._actions):
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 def _log_config(args: argparse.Namespace) -> None:

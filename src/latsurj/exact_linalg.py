@@ -158,32 +158,35 @@ def _crt_primes(a: np.ndarray) -> List[int]:
     return chosen
 
 
-def _solve_mod(blocks: Sequence[np.ndarray], pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, np.ndarray]]:
-    """(det A, det A * A^-1 B) mod p of blocks[i] for each (i, p) of pairs,
-    from det_solve stacks of at most _STACK_BYTES."""
+def _solve_mod(
+    blocks: Sequence[np.ndarray], pairs: Sequence[Tuple[int, int]], first_row: int = 0
+) -> List[Tuple[int, np.ndarray]]:
+    """(det A, rows first_row.. of det A * A^-1 B) mod p of blocks[i] for
+    each (i, p) of pairs, from det_solve stacks of at most _STACK_BYTES."""
     size = max(1, _STACK_BYTES // (8 * blocks[0].size)) if pairs else 1
     out: List[Tuple[int, np.ndarray]] = []
     for s in range(0, len(pairs), size):
         chunk = pairs[s : s + size]
-        d, x = det_solve(np.stack([blocks[i] for i, _ in chunk]), [p for _, p in chunk])
+        d, x = det_solve(np.stack([blocks[i] for i, _ in chunk]), [p for _, p in chunk], first_row)
         out += zip(d.tolist(), x)
     return out
 
 
-def crt_solve(blocks: Sequence) -> List[Tuple[int, np.ndarray | None]]:
+def crt_solve(blocks: Sequence, first_row: int = 0) -> List[Tuple[int, np.ndarray | None]]:
     """(det A, det A * A^-1 B) exactly for integer blocks [A | B] of one shape (n, n + s).
 
     By Cramer's rule each entry of det A * A^-1 B is a maximal minor of
     [A | B], so the CRT primes of a block pass twice its row-norm Hadamard
     bound, and every (block, prime) slice goes into the same stacks.  The
-    solution is an (n, s) object array, or None when a CRT prime divides
-    det A, 0 included.
+    solution is an (n - first_row, s) object array, its rows first_row..,
+    which alone are back-substituted and lifted, or None when a CRT prime
+    divides det A, 0 included.
     """
     blocks = [int_array(b) for b in blocks]
     if len({b.shape for b in blocks}) > 1 or any(b.ndim != 2 or b.shape[1] < b.shape[0] for b in blocks):
         raise ValueError("need integer blocks [A | B] of one shape (n, n + s)")
     plans = [_crt_primes(b) for b in blocks]
-    solved = iter(_solve_mod(blocks, [(i, p) for i, ps in enumerate(plans) for p in ps]))
+    solved = iter(_solve_mod(blocks, [(i, p) for i, ps in enumerate(plans) for p in ps], first_row))
     out = []
     for ps in plans:
         d, x = zip(*[next(solved) for _ in ps])

@@ -143,15 +143,17 @@ def _lazy_columns(p: int) -> int:
     return (2**63 - 1 - p) // (p - 1) ** 2 if p < _WORD_LIMIT else 8
 
 
-def det_solve(stack, primes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(det A, det A * A^-1 B) mod primes[t] for each slice [A | B] of a (k, n, n + s) stack.
+def det_solve(stack, primes: Sequence[int], first_row: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """(det A, rows first_row.. of det A * A^-1 B) mod primes[t] for each slice [A | B] of a (k, n, n + s) stack.
 
     All slices share one loop over columns.  In each column every slice
-    takes its first row with a nonzero residue as pivot, and only the
-    pivot column and the pivot row are reduced mod p.  The trailing block,
-    B included, gets plain multiply-subtract and is reduced every L
-    columns, with L from the largest prime (:func:`_lazy_columns`); with
-    s > 0 the pivot rows are kept for one back-substitution, reduced
+    takes its first row with a nonzero residue as pivot (row 0 needs no
+    search when it is nonzero in every slice), and only the pivot column
+    and the pivot row are reduced mod p.  The trailing block, B included,
+    gets plain multiply-subtract and is reduced every L columns, with L
+    from the largest prime (:func:`_lazy_columns`); with s > 0 the pivot
+    rows from first_row on are kept, divided by their pivots after the
+    loop, for one back-substitution that stops at row first_row, reduced
     alike.  A slice with det 0 mod p solves to 0.  Slices are int64 while
     every prime is below 2^31, Python ints reduced every column beyond.
     """
@@ -161,6 +163,9 @@ def det_solve(stack, primes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     a = int_array(stack)
     if a.ndim != 3 or a.shape[0] != len(primes) or a.shape[2] < a.shape[1]:
         raise ValueError("need a (k, n, n + s) stack and one prime per slice")
+    first_row = operator.index(first_row)
+    if not 0 <= first_row <= a.shape[1]:
+        raise ValueError("first_row must lie in [0, n]")
     q = np.array(primes, dtype=np.int64 if word else object)
     qs, qc = q[:, None, None], q[:, None]
     # e is the trailing block: each column step drops its first row and column
@@ -168,40 +173,54 @@ def det_solve(stack, primes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     k, n, width = e.shape
     lazy = _lazy_columns(top) if word else 1
     slices = np.arange(k)
-    det = np.ones(k, dtype=e.dtype)
-    # u[:, c] is the pivot row of column c over its pivot, when s > 0
-    u = np.zeros((k, n, width if width > n else 0), dtype=e.dtype)
+    det = [1] * k
+    # u[:, c - first_row] is the pivot row of column c and inverses[:, c - first_row]
+    # the inverse of its pivot, for c >= first_row when s > 0
+    solve = width > n
+    u = np.zeros((k, n - first_row, width if solve else 0), dtype=e.dtype)
+    inverses = np.zeros((k, n - first_row), dtype=e.dtype)
     for c in range(n):
         col = e[:, :, 0] % qc
-        i = (col != 0).argmax(axis=1)
-        pivot = col[slices, i]
-        det = det * pivot % q
+        pivot, row = col[:, 0], e[:, 0, 1:]
+        if not pivot.all():
+            i = (col != 0).argmax(axis=1)
+            pivot = col[slices, i]
+            if i.any():
+                # the pivot row leaves the block and row 0 takes its place
+                for t in np.flatnonzero(i).tolist():
+                    det[t] = -det[t]
+                row = e[slices, i, 1:]
+                e[slices, i, 1:] = e[:, 0, 1:]
+                col[slices, i] = col[:, 0]
+        # a slice with no pivot gets det 0 and eliminates with factor 0
+        inverse = []
+        for t, (v, p) in enumerate(zip(pivot.tolist(), primes)):
+            det[t] = det[t] * v % p
+            inverse.append(pow(v, -1, p) if v else 0)
         if c == n - 1 and width == n:
             break
-        row = e[:, 0, 1:]
-        if i.any():
-            # the pivot row leaves the block and row 0 takes its place
-            det = np.where(i > 0, -det, det)
-            row = e[slices, i, 1:]
-            e[slices, i, 1:] = e[:, 0, 1:]
-            col[slices, i] = col[:, 0]
-        # a slice with no pivot already has det 0 and eliminates with factor 0
-        inverse = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)], dtype=e.dtype)
+        inverse = np.array(inverse, dtype=e.dtype)
         row = row % qc
-        if width > n:
-            u[:, c, c + 1 :] = row * inverse[:, None] % qc
+        if solve and c >= first_row:
+            u[:, c - first_row, c + 1 :] = row
+            inverses[:, c - first_row] = inverse
         factors = col[:, 1:] * inverse[:, None] % qc
         e = e[:, 1:, 1:]
         e -= factors[:, :, None] * row[:, None, :]
         if (c + 1) % lazy == 0:
             e = e % qs
-    # x[:, c] starts as the right-hand part of u[:, c] and loses the rest of row c times x
+    det = np.array(det, dtype=e.dtype)
+    if solve:
+        u = u * inverses[:, :, None] % qs
+    # x[:, c - first_row] starts as the right-hand part of u[:, c - first_row]
+    # and loses the rest of row c times x
     x = u[:, :, n:]
-    for c in range(n - 1, -1, -1) if width > n else ():
-        x[:, c] %= qc
-        x[:, :c] -= u[:, :c, c, None] * x[:, c, None, :]
+    for c in range(n - 1, first_row - 1, -1) if solve else ():
+        t = c - first_row
+        x[:, t] %= qc
+        x[:, :t] -= u[:, :t, c, None] * x[:, t, None, :]
         if (n - c) % lazy == 0:
-            x[:, :c] %= qs
+            x[:, :t] %= qs
     return det, x * det[:, None, None] % qs
 
 

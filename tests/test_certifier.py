@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latsurj.certifier import Certificate, is_surjective, verify_certificate
+from latsurj.certifier import Certificate, _minors, is_surjective, verify_certificate
 from latsurj.exact_linalg import (
     ADJUGATE_ROWS,
     IntMatrix,
@@ -469,6 +469,94 @@ def test_det_a_crt_prime_takes_the_residual_elimination(monkeypatch):
     assert (cert.determinant, cert.columns_alt, cert.gcd_value, cert.extra_columns) == (q, None, q, ((0, 1, 3),))
     assert calls == {"adjugate_rows": 1, "echelon": 1}
     assert verify_certificate(m, cert)
+
+
+def test_swap_sets_verify_from_one_solve(monkeypatch):
+    # criterion 2's shape, a certificate that lists only swaps of one column
+    # in place: one det_solve stack of [A | the columns swapped in] gives
+    # every minor, solved from the first swapped position on, and no set
+    # takes dets_mod_crt
+    import latsurj.exact_linalg as exact_linalg
+
+    rng = random.Random(71)
+    while True:
+        m = random_matrix(rng, 50, 52, 0, 1)
+        cert = is_surjective(m)
+        sets = [cert.columns_alt, *(cert.extra_columns or ())] if cert.is_surjective else [None]
+        if None in sets or len(sets) < 2:
+            continue
+        swaps = [(i, s[i]) for s in sets for i in range(50) if s[i] != cert.columns[i]]
+        if len(swaps) == len(sets):
+            break
+    brought = sorted({j for _, j in swaps})
+    calls = _counting(monkeypatch, ("dets_mod_crt",))
+    stacks, real = [], exact_linalg.det_solve
+
+    def recording(stack, primes, first_row=0):
+        stacks.append((np.shape(stack), first_row))
+        return real(stack, primes, first_row)
+
+    monkeypatch.setattr(exact_linalg, "det_solve", recording)
+    assert verify_certificate(m, cert)
+    primes = len(exact_linalg._crt_primes(m.array[:, list(cert.columns) + brought]))
+    assert stacks == [((primes, 50, 50 + len(brought)), min(i for i, _ in swaps))] and not calls
+    assert min(i for i, _ in swaps) >= 50 - ADJUGATE_ROWS
+
+
+def test_det_a_crt_prime_verifies_through_the_fallback(monkeypatch):
+    # det A is the first CRT prime, so the solve of [A | column 3] gives det A
+    # but no X, and the swap (0, 1, 3) takes one stacked CRT call of its own
+    q = crt_primes(1)[0]
+    m = IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, q, 1]])
+    cert = Certificate(
+        verdict="surjective", columns=(0, 1, 2), determinant=q, columns_alt=(0, 1, 3), determinant_alt=1, gcd_value=1
+    )
+    calls = _counting(monkeypatch, ("crt_solve", "dets_mod_crt"))
+    assert verify_certificate(m, cert)
+    assert calls == {"crt_solve": 1, "dets_mod_crt": 1}
+    for wrong in (-1, 2, q):
+        assert not verify_certificate(m, replace(cert, determinant_alt=wrong))
+
+
+def test_listed_minors_match_the_oracle():
+    # swaps at position 0 (a full back-substitution) and elsewhere, sets
+    # that differ from `columns` in two positions, permuted and repeated
+    # sets, half of them past 2^64 after a unimodular row operation
+    rng = random.Random(73)
+    verified = 0
+    for case in range(60):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n + rng.randint(1, 3), -3, 3)
+        rows = m.array.tolist()
+        if case % 2 and n > 1:
+            rows[0] = [x + (2**64 + 13) * y for x, y in zip(rows[0], rows[1])]
+        m = IntMatrix.from_rows(rows)
+        columns = tuple(rng.sample(range(m.cols), n))
+        others = [j for j in range(m.cols) if j not in columns]
+        sets = [columns, (others[0],) + columns[1:], columns[::-1], columns]
+        for _ in range(3):
+            i = rng.randrange(n)
+            sets.append(columns[:i] + (rng.choice(others),) + columns[i + 1 :])
+        if n > 1 and len(others) > 1:
+            sets.append((others[1],) + columns[1:-1] + (others[0],))
+        rng.shuffle(sets)
+        minors = [fraction_free([[row[j] for j in s] for row in rows])[1] for s in sets]
+        assert _minors(m, sets) == minors
+        cert = Certificate(
+            verdict="surjective",
+            columns=sets[0],
+            determinant=minors[0],
+            columns_alt=sets[1],
+            determinant_alt=minors[1],
+            gcd_value=math.gcd(minors[0], minors[1]),
+            extra_columns=tuple(sets[2:]),
+        )
+        expected = 0 not in minors[:2] and math.gcd(*minors) == 1
+        assert verify_certificate(m, cert) == expected
+        verified += expected
+        if expected:
+            assert not verify_certificate(m, replace(cert, determinant_alt=minors[1] + 1))
+    assert verified > 20
 
 
 def test_forged_surjective_verdict_rejected():

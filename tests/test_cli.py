@@ -263,6 +263,18 @@ def test_sample_kind_still_overridable():
     assert run_cli(["sample", "--n", "3", "--u", "1"])[1] != explicit[1]
 
 
+@pytest.mark.parametrize("flag", [["--tri", "3"], ["--tri=3"], ["--trials=3"]])
+def test_abbreviated_flag_beats_overrides(tmp_path, flag):
+    # argparse takes a unique prefix of a flag; the flag is still explicit
+    argv = ["experiment", "corank", "--n", "4", "--p", "2", "--tolerance", "0.9", *flag]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=5\n")
+    for extra, env in (([], {"LATSURJ_TRIALS": "7"}), (["--config", str(cfg)], None)):
+        code, out, err = run_cli(extra + argv, env_extra=env)
+        assert code == 0 and '"trials": 3' in err
+        assert json.loads(out)["config"]["trials"] == 3
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(threads):
     code, out, err = run_cli(["experiment", "corank", "--n", "4", "--p", "2", "--trials", "3", "--threads", threads])

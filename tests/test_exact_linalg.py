@@ -219,10 +219,10 @@ def _record_slices(monkeypatch, fake=None):
     shapes = []
     real = exact_linalg.det_solve
 
-    def recording(stack, primes):
+    def recording(stack, primes, first_row=0):
         shapes.append(np.shape(stack))
         assert len(primes) == shapes[-1][0]
-        return fake(stack, primes) if fake else real(stack, primes)
+        return fake(stack, primes, first_row) if fake else real(stack, primes, first_row)
 
     monkeypatch.setattr(exact_linalg, "det_solve", recording)
     return shapes
@@ -247,7 +247,9 @@ def test_det_mod_crt_stacks_stay_under_the_cap(monkeypatch):
     # criterion 8's shape: this 400 x 400 {0, 1} matrix needs 52 primes,
     # which come in stacks of at most 13 slices (16 MiB), with s = 0 and
     # with s = 4 right-hand columns alike; the fake kernel keeps the test fast
-    shapes = _record_slices(monkeypatch, lambda stack, primes: (np.zeros(len(primes), dtype=np.int64), stack[:, :, 400:]))
+    shapes = _record_slices(
+        monkeypatch, lambda stack, primes, first_row: (np.zeros(len(primes), dtype=np.int64), stack[:, first_row:, 400:])
+    )
     a = np.random.default_rng(2).integers(0, 2, size=(400, 404))
     assert exact_linalg._STACK_BYTES == 1 << 24
     assert det(IntMatrix.from_array(a[:, :400])) == 0

@@ -270,6 +270,31 @@ def test_det_solve_matches_adjugate_oracle(slices, s, seed):
     assert det_solve(np.array([rows for rows, _ in slices], dtype=object), primes)[0].tolist() == expected_dets
 
 
+@given(det_slices(), st.integers(1, 3), st.integers(0, 2**64))
+@example([([[CRT[0], 5], [0, 1]], CRT[0]), ([[CRT[0], 5], [0, 1]], CRT[1])], 2, 0)
+@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**61 - 1)], 1, 0)
+@example([([[1, 2], [2, 4]], CRT[0]), ([[1, 2], [3, 4]], CRT[0])], 3, 0)
+@settings(max_examples=60, deadline=None)
+def test_det_solve_first_row_matches_full_solve(slices, s, seed):
+    # rows first_row.. of the solve, for first_row 0, n and one between, on
+    # stacks with singular slices, dets a CRT prime and entries past 2^63
+    rng = random.Random(seed)
+    n = len(slices[0][0])
+    entries = [DET_ENTRIES[kind] for kind in ("small", "edge", "beyond")]
+    extra = [[[rng.choice(entries)(rng) for _ in range(s)] for _ in range(n)] for _ in slices]
+    stack = np.array([[row + b for row, b in zip(rows, bs)] for (rows, _), bs in zip(slices, extra)], dtype=object)
+    primes = [p for _, p in slices]
+    d, x = det_solve(stack, primes)
+    for first_row in sorted({0, rng.randint(0, n), n}):
+        d_r, x_r = det_solve(stack, primes, first_row)
+        assert d_r.dtype == d.dtype and d_r.tolist() == d.tolist()
+        assert x_r.dtype == x.dtype and x_r.shape == (len(slices), n - first_row, s)
+        assert x_r.tolist() == x[:, first_row:].tolist()
+    for first_row in (-1, n + 1):
+        with pytest.raises(ValueError):
+            det_solve(stack, primes, first_row)
+
+
 def _worst_case_growth(n):
     """An n x n matrix of det 1 whose elimination mod any p pivots on 1 in
     every column and multiplies residues p - 1 by p - 1 in every update.
@@ -306,9 +331,12 @@ def test_det_solve_lazy_reduction_worst_case(monkeypatch):
     upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
     a = np.hstack([upper, -upper.sum(axis=1, keepdims=True)])
     assert det_solve(np.stack([a, a]), [p, CRT[1]])[1].tolist() == [[[p - 1]] * n, [[CRT[1] - 1]] * n]
+    # rows from 2 on alone: row 2 still takes n - 3 > L updates
+    assert det_solve(np.stack([a, a]), [p, CRT[1]], 2)[1].tolist() == [[[p - 1]] * (n - 2), [[CRT[1] - 1]] * (n - 2)]
     # one more row between reductions passes 2^63 and wraps
     monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
     assert det_solve(a[None], [p])[1].tolist() != [[[p - 1]] * n]
+    assert det_solve(a[None], [p], 2)[1].tolist() != [[[p - 1]] * (n - 2)]
 
 
 @pytest.mark.parametrize("p", [CRT[0], 2**31 - 1, 65537])
