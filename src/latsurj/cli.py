@@ -189,16 +189,20 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+# experiment kind on the command line -> ExperimentConfig.experiment
+_EXPERIMENTS = {
+    "corank": CORANK,
+    "trivial": TRIVIAL,
+    "singularity": SINGULARITY,
+    "exposure": EXPOSURE,
+    "symmetric": SYMMETRIC,
+}
+
+
 def _cmd_experiment(args) -> int:
     dist = parse_distribution(args.dist)
     primes = tuple(int(t) for t in args.primes.split(",")) if args.primes else None
-    kind = {
-        "corank": CORANK,
-        "trivial": TRIVIAL,
-        "singularity": SINGULARITY,
-        "exposure": EXPOSURE,
-        "symmetric": SYMMETRIC,
-    }[args.kind]
+    kind = _EXPERIMENTS[args.kind]
     mode = args.mode
     if kind == TRIVIAL and primes and mode == "default":
         mode = "p_restricted"
@@ -319,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=_cmd_predict)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiments vs predictions")
-    p_exp.add_argument(
-        "kind", choices=["corank", "trivial", "singularity", "exposure", "symmetric"]
-    )
+    p_exp.add_argument("kind", choices=list(_EXPERIMENTS))
     p_exp.add_argument("--n", type=int, required=True)
     p_exp.add_argument("--u", type=int)
     p_exp.add_argument("--p", type=int)
@@ -331,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--B", type=float, default=1.0)
     p_exp.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads, default 1 (under the GIL more only slow a run down); rank experiments "
-        "hand them chunks of up to 256 trials, the others single trials (output is identical for any value)",
+        help="worker threads, default 1 (under the GIL more only slow a run down); every experiment "
+        "hands them chunks of up to 256 trials (output is identical for any value)",
     )
     p_exp.add_argument("--mode", default="default")
     p_exp.add_argument("--primes", help="restrict to this prime set (trivial)")

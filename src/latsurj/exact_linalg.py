@@ -133,8 +133,8 @@ def _det_bound(a: np.ndarray) -> int:
     return root if root * root == square else root + 1
 
 
-# bytes of one int64 stack handed to modp.det_solve, the cap of the odd-p rank
-# chunks too; more primes than fit go in several stacks
+# bytes of one int64 stack handed to modp.det_solve and of the matrices of one
+# chunk of experiment trials; more primes than fit go in several stacks
 _STACK_BYTES = 1 << 24
 
 

@@ -2,12 +2,13 @@
 
 Trials are independent tasks whose RNG substreams derive from
 (master seed, trial index), and per-trial results aggregate through a
-commutative counter, so reports are identical for any worker count.  The
-rank experiments (corank, p-restricted trivial cokernel, mod-p
-singularity) hand workers chunks of trials and eliminate each chunk as
-one batch, bit-packed for p = 2; the others hand out single trials.  The
-canonical report serialization deliberately excludes wall-clock time and
-worker metadata; those live in a side "meta" block of the written file.
+commutative counter, so reports are identical for any worker count.
+Every experiment hands workers chunks of trials; the rank experiments
+(corank, p-restricted trivial cokernel, mod-p singularity) eliminate each
+chunk as one batch, bit-packed for p = 2, and the others run its trials
+one by one.  The canonical report serialization deliberately excludes
+wall-clock time and worker metadata; those live in a side "meta" block of
+the written file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Callable, List, Optional, Tuple
 
@@ -32,7 +33,7 @@ from .ensembles import (
     sample_array,
     sample_matrix,
 )
-from .exact_linalg import det_is_zero
+from .exact_linalg import _STACK_BYTES, det_is_zero
 from .exposure import ExposureTrace, SingularStart, run_exposure, u_budget
 from .modp import gf2_ranks, pack_gf2, rank_mod_p
 from .predictions import (
@@ -51,6 +52,8 @@ SYMMETRIC = "symmetric"
 
 # corank outcomes up to this k carry a prediction
 K_PREDICT = 8
+# confidence level of every outcome's Wilson interval
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class ExperimentConfig:
     b: float = 1.0
     mode: str = "default"
     tolerance: float = 0.02
-    confidence: float = 0.95
     min_frequency: Optional[float] = None
     max_singular: Optional[int] = None
     threads: int = 1
@@ -90,7 +92,7 @@ class ExperimentConfig:
             "dist": self.dist.literal(),
             "mode": self.mode,
             "tolerance": self.tolerance,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "b": self.b,
         }
         for key in ("u", "p", "min_frequency", "max_singular"):
@@ -114,16 +116,10 @@ class Outcome:
     passed: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "count": self.count,
-            "freq": self.freq,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "prediction": self.prediction,
-            "tail_bound": self.tail_bound,
-            "pass": self.passed,
-        }
+        """The fields in declaration order, with passed serialized as "pass"."""
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,25 +159,11 @@ class ExperimentReport:
     def to_csv(self) -> str:
         lines = ["label,count,freq,ci_lo,ci_hi,prediction,tail_bound,pass"]
         for o in self.outcomes:
-            lines.append(
-                ",".join(
-                    "" if v is None else str(v)
-                    for v in (
-                        o.label,
-                        o.count,
-                        o.freq,
-                        o.ci_lo,
-                        o.ci_hi,
-                        o.prediction,
-                        o.tail_bound,
-                        o.passed,
-                    )
-                )
-            )
+            lines.append(",".join("" if v is None else str(v) for v in o.to_dict().values()))
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(count: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
+def wilson_interval(count: int, n: int, confidence: float = CONFIDENCE) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
@@ -193,84 +175,101 @@ def wilson_interval(count: int, n: int, confidence: float = 0.95) -> Tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _map_trials(trials: int, worker: Callable[[int], object], threads: int) -> List[object]:
-    if threads <= 1:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
-
-
-# Rank experiments eliminate up to this many trials as one batch, fewer
-# when an odd-p chunk's int64 matrices would pass the byte cap.
+# Every experiment runs its trials in chunks of up to this many, fewer when
+# a chunk's int64 matrices would pass the stack cap or when fewer chunks than
+# worker threads would result.
 _CHUNK_TRIALS = 256
-_CHUNK_BYTES = 1 << 24
+
+
+def _map_chunks(cfg: ExperimentConfig, m: int, per_chunk: Callable[[range], List]) -> List:
+    """per_chunk's per-trial results over every chunk of cfg's trials, in
+    trial order; chunks of n x m trials go to cfg.threads worker threads."""
+    size = max(1, min(_CHUNK_TRIALS, _STACK_BYTES // (8 * cfg.n * m), math.ceil(cfg.trials / cfg.threads)))
+    chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+    if cfg.threads == 1:
+        parts = [per_chunk(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            parts = list(pool.map(per_chunk, chunks))
+    return [result for part in parts for result in part]
+
+
+def _spec(cfg: ExperimentConfig, index: int, kind: str = IID_RECT, **shape) -> EnsembleSpec:
+    """The draw of cfg's substream derive_seed(master_seed, index)."""
+    return EnsembleSpec(kind, cfg.n, cfg.dist, derive_seed(cfg.master_seed, index), **shape)
 
 
 def _iid_ranks(cfg: ExperimentConfig, m: int, ps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     """Per trial, the ranks mod each prime of ps of its n x m iid matrix.
 
-    Trial i draws from the substream derive_seed(master_seed, i) exactly
-    as a one-trial-at-a-time loop would; for p = 2 a chunk keeps only the
-    packed rows.
+    A chunk is eliminated as one batch, and trial i draws from the
+    substream derive_seed(master_seed, i) exactly as a one-trial-at-a-time
+    loop would; for p = 2 a chunk keeps only the packed rows.
     """
     for p in ps:
         if not _primes.is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
 
-    def worker(chunk: range) -> List[Tuple[int, ...]]:
+    def per_chunk(chunk: range) -> List[Tuple[int, ...]]:
         held = {p: [] for p in ps}
         for i in chunk:
-            arr = sample_array(EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
+            arr = sample_array(_spec(cfg, i, m=m))
             for p in ps:
                 held[p].append(pack_gf2(arr) if p == 2 else arr)
         ranks = [gf2_ranks(held[p], m).tolist() if p == 2 else [rank_mod_p(a, p) for a in held[p]] for p in ps]
         return list(zip(*ranks))
 
-    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * cfg.n * m)))
-    chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
-    parts = _map_trials(len(chunks), lambda k: worker(chunks[k]), cfg.threads)
-    return [ranks for part in parts for ranks in part]
+    return _map_chunks(cfg, m, per_chunk)
 
 
 def _outcome(
-    label: str,
-    count: int,
-    trials: int,
-    confidence: float,
-    prediction: Optional[Prediction] = None,
-    passed: Optional[bool] = None,
-    tolerance: Optional[float] = None,
+    cfg: ExperimentConfig, label: str, count: int, prediction: Optional[Prediction] = None, passed: Optional[bool] = None
 ) -> Outcome:
-    freq = count / trials
-    lo, hi = wilson_interval(count, trials, confidence)
+    """An outcome of cfg's trials; one with a prediction passes within cfg.tolerance of it."""
+    freq = count / cfg.trials
+    lo, hi = wilson_interval(count, cfg.trials)
     pred_value = prediction.value if prediction else None
     tail = prediction.truncation_bound if prediction else None
-    if passed is None and prediction is not None and tolerance is not None:
-        passed = abs(freq - pred_value) <= tolerance
+    if passed is None and prediction is not None:
+        passed = abs(freq - pred_value) <= cfg.tolerance
     return Outcome(label, count, round(freq, 12), round(lo, 12), round(hi, 12), pred_value, tail, passed)
+
+
+def _pair(
+    cfg: ExperimentConfig, label: str, count: int, prediction: Optional[Prediction] = None, passed: Optional[bool] = None
+) -> Tuple[Outcome, Outcome]:
+    """The outcome label of count trials and its complement "non" + label."""
+    return _outcome(cfg, label, count, prediction, passed), _outcome(cfg, f"non{label}", cfg.trials - count)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What a runner found; run_experiment adds the config, seed and time."""
+
+    outcomes: Tuple[Outcome, ...]
+    config: dict = field(default_factory=dict)  # values the runner resolved
+    extra: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
 
 
 # -- concrete experiments ----------------------------------------------------
 
 
-def run_corank_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_corank_experiment(cfg: ExperimentConfig) -> _Run:
     """Empirical corank distribution mod p for square matrices."""
     if cfg.p is None:
         raise ValueError("corank experiment needs a prime p")
-    p = cfg.p
-    start = time.perf_counter()
-    counts = Counter(cfg.n - r for (r,) in _iid_ranks(cfg, cfg.n, (p,)))
-    outcomes = []
-    for k in sorted(set(range(min(K_PREDICT, cfg.n) + 1)) | set(counts)):
-        pred = corank_prediction(p, k) if k <= K_PREDICT else None
-        outcomes.append(
-            _outcome(f"corank={k}", counts.get(k, 0), cfg.trials, cfg.confidence, pred, tolerance=cfg.tolerance)
+    counts = Counter(cfg.n - r for (r,) in _iid_ranks(cfg, cfg.n, (cfg.p,)))
+    ks = sorted(set(range(min(K_PREDICT, cfg.n) + 1)) | set(counts))
+    return _Run(
+        tuple(
+            _outcome(cfg, f"corank={k}", counts.get(k, 0), corank_prediction(cfg.p, k) if k <= K_PREDICT else None)
+            for k in ks
         )
-    runtime = (time.perf_counter() - start) * 1000
-    return ExperimentReport(cfg.to_dict(), tuple(outcomes), cfg.master_seed, runtime)
+    )
 
 
-def run_trivial_cokernel_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_trivial_cokernel_experiment(cfg: ExperimentConfig) -> _Run:
     """Frequency of trivial cokernel for n x (n+u) matrices.
 
     mode "all_primes" decides via the certifier; mode "p_restricted"
@@ -279,34 +278,22 @@ def run_trivial_cokernel_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     u = cfg.u if cfg.u is not None else 0
     m = cfg.n + u
-    start = time.perf_counter()
 
     if cfg.mode == "p_restricted":
         if not cfg.primes:
             raise ValueError("p_restricted mode needs a prime set")
         ps = tuple(sorted(set(cfg.primes)))
-        prediction = trivial_cokernel_prediction(ps, u)
-        label = "trivial_p_part"
         results = [all(r == cfg.n for r in ranks) for ranks in _iid_ranks(cfg, m, ps)]
-    else:
-        def worker(i: int) -> bool:
-            spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m)
-            return is_surjective(sample_matrix(spec)).is_surjective
+        return _Run(_pair(cfg, "trivial_p_part", sum(results), trivial_cokernel_prediction(ps, u)))
 
-        prediction = trivial_cokernel_all_primes(u)
-        label = "trivial"
-        results = _map_trials(cfg.trials, worker, cfg.threads)
+    def per_chunk(chunk: range) -> List[bool]:
+        return [is_surjective(sample_matrix(_spec(cfg, i, m=m))).is_surjective for i in chunk]
 
-    count = sum(map(bool, results))
-    outcomes = (
-        _outcome(label, count, cfg.trials, cfg.confidence, prediction, tolerance=cfg.tolerance),
-        _outcome(f"non{label}", cfg.trials - count, cfg.trials, cfg.confidence),
-    )
-    runtime = (time.perf_counter() - start) * 1000
-    return ExperimentReport(cfg.to_dict(), outcomes, cfg.master_seed, runtime)
+    results = _map_chunks(cfg, m, per_chunk)
+    return _Run(_pair(cfg, "trivial", sum(results), trivial_cokernel_all_primes(u)))
 
 
-def run_singularity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_singularity_experiment(cfg: ExperimentConfig) -> _Run:
     """Frequency of singular draws for square matrices.
 
     mode "det" tests det = 0 exactly (early-exit CRT, so nonsingular
@@ -314,7 +301,6 @@ def run_singularity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     configured reference prime instead.  The report carries e^(-c alpha n)
     reference curves for a small grid of c.
     """
-    start = time.perf_counter()
     alpha = float(alpha_min(cfg.dist))
 
     if cfg.mode == "mod_p":
@@ -322,37 +308,22 @@ def run_singularity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("mod_p mode needs a reference prime")
         results = [r < cfg.n for (r,) in _iid_ranks(cfg, cfg.n, (cfg.p,))]
     else:
-        def worker(i: int) -> bool:
-            spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=cfg.n)
-            return det_is_zero(sample_array(spec))
+        results = _map_chunks(cfg, cfg.n, lambda chunk: [det_is_zero(sample_array(_spec(cfg, i))) for i in chunk])
 
-        results = _map_trials(cfg.trials, worker, cfg.threads)
-
-    count = sum(map(bool, results))
+    count = sum(results)
     passed = count <= cfg.max_singular if cfg.max_singular is not None else None
-    outcomes = (
-        _outcome("singular", count, cfg.trials, cfg.confidence, passed=passed),
-        _outcome("nonsingular", cfg.trials - count, cfg.trials, cfg.confidence),
-    )
     curves = {f"c={c}": math.exp(-c * alpha * cfg.n) for c in (0.25, 0.5, 1.0)}
-    runtime = (time.perf_counter() - start) * 1000
-    return ExperimentReport(
-        cfg.to_dict(), outcomes, cfg.master_seed, runtime, extra={"singularity_curves": curves}
-    )
+    return _Run(_pair(cfg, "singular", count, passed=passed), extra={"singularity_curves": curves})
 
 
-def run_symmetric_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_symmetric_experiment(cfg: ExperimentConfig) -> _Run:
     """Trivial-cokernel frequency for the symmetric-plus-u-columns model."""
     u = cfg.u
     if u is None:
         u = math.ceil(cfg.b * math.sqrt(cfg.n * math.log(cfg.n)))
-    start = time.perf_counter()
 
-    def worker(i: int) -> bool:
-        spec = EnsembleSpec(
-            SYMMETRIC_PLUS, cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), u=u
-        )
-        matrix = sample_matrix(spec)
+    def trial(i: int) -> bool:
+        matrix = sample_matrix(_spec(cfg, i, SYMMETRIC_PLUS, u=u))
         a = matrix.array
         step = max(1, cfg.n // 8)
         for ii in range(0, cfg.n, step):
@@ -361,20 +332,12 @@ def run_symmetric_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     raise RuntimeError(f"symmetric sample of trial {i} differs at ({ii}, {jj})")
         return is_surjective(matrix).is_surjective
 
-    results = _map_trials(cfg.trials, worker, cfg.threads)
-    count = sum(map(bool, results))
+    count = sum(_map_chunks(cfg, cfg.n + u, lambda chunk: [trial(i) for i in chunk]))
     passed = (count / cfg.trials) >= cfg.min_frequency if cfg.min_frequency is not None else None
-    outcomes = (
-        _outcome("trivial", count, cfg.trials, cfg.confidence, passed=passed),
-        _outcome("nontrivial", cfg.trials - count, cfg.trials, cfg.confidence),
-    )
-    runtime = (time.perf_counter() - start) * 1000
-    report_cfg = cfg.to_dict()
-    report_cfg["u"] = u
-    return ExperimentReport(report_cfg, outcomes, cfg.master_seed, runtime)
+    return _Run(_pair(cfg, "trivial", count, passed=passed), config={"u": u})
 
 
-def run_exposure_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_exposure_experiment(cfg: ExperimentConfig) -> _Run:
     """Repeated exposure runs; reports the within-budget success rate.
 
     Each run starts from a square sample with nonzero determinant (a singular
@@ -382,36 +345,24 @@ def run_exposure_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     alpha = alpha_min(cfg.dist)
     budget = u_budget(cfg.n, alpha, cfg.b)
-    start = time.perf_counter()
 
-    def worker(i: int) -> ExposureTrace:
+    def trial(i: int) -> ExposureTrace:
         for attempt in range(1000):
-            seed = derive_seed(cfg.master_seed, i * 1000 + attempt)
-            spec = EnsembleSpec(IID_RECT, cfg.n, cfg.dist, seed, m=cfg.n)
+            spec = _spec(cfg, i * 1000 + attempt)
             try:
-                return run_exposure(sample_matrix(spec), cfg.dist, cfg.b, seed=derive_seed(seed, 1), alpha=alpha)
+                return run_exposure(sample_matrix(spec), cfg.dist, cfg.b, seed=derive_seed(spec.seed, 1), alpha=alpha)
             except SingularStart:
                 continue
         raise RuntimeError(f"exposure trial {i}: all 1000 starting matrices were singular")
 
-    traces: List[ExposureTrace] = _map_trials(cfg.trials, worker, cfg.threads)
+    traces: List[ExposureTrace] = _map_chunks(cfg, cfg.n, lambda chunk: [trial(i) for i in chunk])
     within = sum(1 for t in traces if t.achieved and t.total_extra_columns <= budget)
     achieved = sum(1 for t in traces if t.achieved)
     passed = (within / cfg.trials) >= cfg.min_frequency if cfg.min_frequency is not None else None
-    outcomes = (
-        _outcome("achieved_within_budget", within, cfg.trials, cfg.confidence, passed=passed),
-        _outcome("achieved", achieved, cfg.trials, cfg.confidence),
-    )
-    rows = [t.csv_row() for t in traces]
-    runtime = (time.perf_counter() - start) * 1000
-    report_cfg = cfg.to_dict()
-    report_cfg["u_budget"] = budget
-    return ExperimentReport(
-        report_cfg,
-        outcomes,
-        cfg.master_seed,
-        runtime,
-        extra={"runs": rows},
+    return _Run(
+        (_outcome(cfg, "achieved_within_budget", within, passed=passed), _outcome(cfg, "achieved", achieved)),
+        config={"u_budget": budget},
+        extra={"runs": [t.csv_row() for t in traces]},
         artifacts={"traces": traces},
     )
 
@@ -437,4 +388,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"unknown mode {cfg.mode!r} for experiment {cfg.experiment!r}")
     if cfg.primes is not None and (cfg.experiment, cfg.mode) != (TRIVIAL, "p_restricted"):
         raise ValueError("a prime set applies only to the p_restricted trivial experiment")
-    return runner(cfg)
+    start = time.perf_counter()
+    run = runner(cfg)
+    runtime = (time.perf_counter() - start) * 1000
+    config = {**cfg.to_dict(), **run.config}
+    return ExperimentReport(config, run.outcomes, cfg.master_seed, runtime, run.extra, artifacts=run.artifacts)

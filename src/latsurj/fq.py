@@ -571,6 +571,24 @@ class SweepReport:
     violations: List[dict]
 
 
+def _dot_law_numerators(fld: FieldTable, numerators: np.ndarray, w: Sequence[int]) -> np.ndarray:
+    """Per row of numerators (a law over a common denominator den), the law of
+    sum_l xi_l * w_l as integer numerators over den^len(w), by convolution."""
+    q = fld.q
+    add = fld.add_table()
+    mul = fld.mul_table()
+    law = np.zeros((numerators.shape[0], q), dtype=np.int64)
+    law[:, 0] = 1
+    for wl in w:
+        nxt = np.zeros_like(law)
+        targets = add[np.arange(q)[:, None], mul[wl]]  # targets[s, t]
+        for s in range(q):
+            contrib = law[:, s : s + 1] * numerators
+            np.add.at(nxt, (slice(None), targets[s]), contrib)
+        law = nxt
+    return law
+
+
 def lo_exhaustive_grid(q: int, max_m: int = 6, max_den: int = 8) -> SweepReport:
     """Exhaustive Littlewood-Offord grid for one field order.
 
@@ -581,8 +599,6 @@ def lo_exhaustive_grid(q: int, max_m: int = 6, max_den: int = 8) -> SweepReport:
     (q*law - den^m)^2 * alpha_num * m <= 4 q^2 den^(2m) * den.
     """
     fld = field_for_order(q)
-    add = fld.add_table()
-    mul = fld.mul_table()
     multisets = generator_multisets(fld, max_m)
     cases = 0
     violations: List[dict] = []
@@ -591,15 +607,7 @@ def lo_exhaustive_grid(q: int, max_m: int = 6, max_den: int = 8) -> SweepReport:
         alpha_num = _alpha_numerators(fld, den, numerators)
         for w in multisets:
             m = len(w)
-            law = np.zeros((count, q), dtype=np.int64)
-            law[:, 0] = 1
-            for wl in w:
-                nxt = np.zeros_like(law)
-                targets = add[np.arange(q)[:, None], mul[wl]]  # targets[s, t]
-                for s in range(q):
-                    contrib = law[:, s : s + 1] * numerators
-                    np.add.at(nxt, (slice(None), targets[s]), contrib)
-                law = nxt
+            law = _dot_law_numerators(fld, numerators, w)
             dm = den**m
             dev = q * law - dm
             lhs = dev.astype(object) ** 2 * alpha_num[:, None].astype(object) * m

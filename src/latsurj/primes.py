@@ -51,7 +51,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test with a fixed witness set."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -178,6 +178,8 @@ def _one_trial_at_a_time(cfg):
         a = sample_array(EnsembleSpec("iid_rect", cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
         if cfg.experiment == CORANK:
             counts[f"corank={cfg.n - rank_mod_p(a, cfg.p)}"] += 1
+        elif cfg.mode == "all_primes":
+            counts["trivial" if is_surjective(IntMatrix.from_array(a)).is_surjective else "nontrivial"] += 1
         elif cfg.experiment == TRIVIAL:
             full = all(rank_mod_p(a, p) == cfg.n for p in cfg.primes)
             counts["trivial_p_part" if full else "nontrivial_p_part"] += 1
@@ -187,22 +189,48 @@ def _one_trial_at_a_time(cfg):
 
 
 def test_trial_matrices_recoverable_from_seed():
-    # Rank experiments eliminate chunks of up to 256 trials at once; each
-    # trial must still equal its own (master_seed, i) matrix taken alone.
+    # Every experiment runs chunks of up to 256 trials, which the rank
+    # experiments eliminate at once; each trial must still equal its own
+    # (master_seed, i) matrix taken alone.
     u101 = Distribution.uniform([-1, 0, 1])
     configs = [
         ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=U01, p=2),
         ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=u101, p=3),
         ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, primes=(2, 3), mode="p_restricted"),
         ExperimentConfig(SINGULARITY, n=5, trials=1, master_seed=0, dist=U01, mode="mod_p", p=2),
+        ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, mode="all_primes"),
     ]
-    runs = [(1, 3, 1), (255, 11, 1), (256, 12, 2), (257, 13, 1), (513, 14, 3)]
+    runs = [(1, 3, 1), (255, 11, 1), (256, 12, 2), (257, 13, 1), (257, 15, 3), (513, 14, 3)]
     for cfg in configs:
         for trials, seed, threads in runs:
+            if cfg.mode == "all_primes" and trials > 257:
+                continue  # one is_surjective a trial, in the run and in the oracle
             run = replace(cfg, trials=trials, master_seed=seed, threads=threads)
             report = run_experiment(run)
             counts = Counter({o.label: o.count for o in report.outcomes if o.count})
             assert counts == _one_trial_at_a_time(run), (run.experiment, run.p, trials)
+
+
+@pytest.mark.parametrize("kind,extra", [(SYMMETRIC, dict(u=2)), (EXPOSURE, dict(b=1.0))])
+def test_trials_spread_over_every_worker(monkeypatch, kind, extra):
+    # 200 trials fit one 256-trial chunk; at threads=4 each worker must
+    # still get a chunk of its own
+    chunks = []
+    map_chunks = experiments._map_chunks
+
+    def spy(cfg, m, per_chunk):
+        def recorded(chunk):
+            chunks.append(chunk)
+            return per_chunk(chunk)
+
+        return map_chunks(cfg, m, recorded)
+
+    monkeypatch.setattr(experiments, "_map_chunks", spy)
+    cfg = ExperimentConfig(kind, n=5, trials=200, master_seed=21, dist=U01, threads=4, **extra)
+    report = run_experiment(cfg)
+    assert len(chunks) >= 4
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(200))
+    assert report.canonical_json() == run_experiment(replace(cfg, threads=1)).canonical_json()
 
 
 # -- determinism across worker counts ----------------------------------------

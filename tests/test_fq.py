@@ -24,6 +24,7 @@ from latsurj.fq import (
     mu_hat_all,
     spec_set,
     spectrum_subgroup_check,
+    _dot_law_numerators,
     _level_function,
 )
 
@@ -416,14 +417,22 @@ def test_additive_subgroup_counts():
 def test_lo_grid_small_clean_and_cross_checked():
     rep = lo_exhaustive_grid(3, max_m=3, max_den=4)
     assert not rep.violations and rep.cases > 0
-    # cross-check the vectorized law against the exact convolution
-    fld = field(3, 1)
-    mu = FqDistribution(fld, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
-    for w in ([1], [1, 1], [1, 2, 2]):
-        law = exact_dot_distribution(mu, w)
-        res = lo_bound_check(mu, w, 0)
-        assert res.probability == law[0]
-        assert res.holds
+    # the grid's integer convolution over den^m against the exact Fraction law
+    batches = [
+        (3, [(1, 2, 1), (4, 0, 0), (0, 1, 3)], [1, 2, 2]),
+        (3, [(1, 1, 1)], [1]),
+        (4, [(1, 0, 2, 3), (3, 1, 1, 1), (0, 0, 6, 0)], [1, 2, 3, 2]),
+        (4, [(2, 1, 0, 1)], [2, 0, 3]),
+        (5, [(1, 2, 0, 0, 4), (2, 2, 1, 1, 1)], [1, 3, 4]),
+        (8, [(1, 1, 0, 0, 2, 0, 0, 3)], [1, 2, 5, 7, 2]),
+    ]
+    for q, rows, w in batches:
+        fld = field_for_order(q)
+        laws = _dot_law_numerators(fld, np.array(rows, dtype=np.int64), w)
+        for row, law in zip(rows, laws):
+            den = sum(row)
+            mu = FqDistribution(fld, tuple(Fraction(c, den) for c in row))
+            assert [Fraction(int(c), den ** len(w)) for c in law] == list(exact_dot_distribution(mu, w)), (q, row, w)
 
 
 def test_cosine_sweep_clean():
