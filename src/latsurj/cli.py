@@ -333,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--B", type=float, default=1.0)
     p_exp.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads, default 1 (under the GIL more only slow a run down); every experiment "
-        "hands them chunks of up to 256 trials (output is identical for any value)",
+        help="worker threads, default 1; more speed up the det-mode singularity runner, whose "
+        "determinants run inside numpy without the GIL, and leave the other runners as fast or "
+        "slower; every experiment hands them chunks of up to 256 trials (output is identical for "
+        "any value)",
     )
     p_exp.add_argument("--mode", default="default")
     p_exp.add_argument("--primes", help="restrict to this prime set (trivial)")

@@ -27,7 +27,8 @@ from .modp import iter_subspaces, subspace_elements
 
 MAX_Q = 2**12
 SLACK = 1e-9
-_TABLE_Q_LIMIT = 512
+_INT64_MAX = np.iinfo(np.int64).max
+_SUMSET_BLOCK = 1 << 16
 
 # -- polynomial helpers over F_p (coefficient lists, low degree first) ---
 
@@ -38,65 +39,33 @@ def _poly_trim(c: List[int]) -> List[int]:
     return c
 
 
+def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
+    """Remainder of a modulo the monic polynomial mod, over F_p."""
+    r = [c % p for c in a]
+    deg = len(mod) - 1
+    while len(r) > deg:
+        lead = r.pop()
+        off = len(r) - deg
+        for i in range(deg):
+            r[off + i] = (r[off + i] - lead * mod[i]) % p
+    return _poly_trim(r)
+
+
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    deg = len(mod) - 1
-    while len(prod) > deg:
-        lead = prod.pop()
-        if lead:
-            off = len(prod) - deg
-            for i in range(deg):
-                prod[off + i] = (prod[off + i] - lead * mod[i]) % p
-    return _poly_trim(prod)
-
-
-def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[int]:
-    result = [1]
-    b = _poly_trim(list(base))
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and _poly_trim(r):
-            if len(r) < len(b):
-                break
-            coef = r[-1] * inv % p
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] = (r[off + i] - coef * b[i]) % p
-            _poly_trim(r)
-        a, b = b, r
-    return a
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_mod(prod, mod, p)
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int, f: int) -> bool:
-    """Rabin test for a monic degree-f polynomial over F_p."""
-    mod = list(coeffs)
-    x = [0, 1]
-    xq = _poly_powmod(x, p**f, mod, p)
-    diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
-    if diff:
-        return False
-    for ell in _primes.prime_divisors(f) if f > 1 else []:
-        t = _poly_powmod(x, p ** (f // ell), mod, p)
-        diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-        g = _poly_gcd(mod, diff, p)
-        if len(g) - 1 != 0:
-            return False
+    """Trial division of a monic degree-f polynomial over F_p by every monic
+    polynomial of degree 1..f/2: at most 2 p^(f/2) <= 128 divisors for q <= MAX_Q."""
+    for d in range(1, f // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            if not _poly_mod(coeffs, list(lower) + [1], p):
+                return False
     return True
 
 
@@ -114,11 +83,18 @@ def _smallest_irreducible(p: int, f: int) -> List[int]:
 # -- the field itself ----------------------------------------------------
 
 
+def _int_or_array(x):
+    """A Python int for a scalar result, the array otherwise."""
+    return int(x) if np.ndim(x) == 0 else x
+
+
 class FieldTable:
     """Explicit F_q = p^f arithmetic with log/antilog tables and trace.
 
     Elements are integers 0..q-1; the base-p digits of an element are its
     polynomial coefficients, so 0..p-1 are exactly the prime subfield.
+    add, mul, pow and trace work elementwise on ints or integer arrays,
+    with numpy broadcasting, from tables of O(q) size.
     """
 
     def __init__(self, p: int, f: int = 1):
@@ -135,10 +111,10 @@ class FieldTable:
         self.modulus_poly: Tuple[int, ...] = (
             tuple(_smallest_irreducible(p, f)) if f > 1 else (0, 1)
         )
+        self._place = p ** np.arange(f, dtype=np.int64)
+        self._digits = np.arange(q, dtype=np.int64)[:, None] // self._place % p
         self._build_tables()
-        self._trace_table = tuple(self._trace_slow(x) for x in range(q))
-        self._add_table: Optional[np.ndarray] = None
-        self._mul_np: Optional[np.ndarray] = None
+        self._build_trace()
 
     # digit <-> encoding
 
@@ -177,87 +153,57 @@ class FieldTable:
         else:
             g = 1  # q == 2
         self.generator = g
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
+        exp = np.ones(2 * (q - 1), dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = self._mul_poly(x, g)
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
-        self._exp = tuple(exp)
-        self._log = tuple(log)
+        exp[q - 1 :] = exp[: q - 1]
+        self._exp = exp
+        self._log = log
+
+    def _build_trace(self) -> None:
+        """Tabulate tr(x) = x + x^p + ... + x^(p^(f-1)) for every element."""
+        acc = frob = np.arange(self.q)
+        for _ in range(self.f - 1):
+            frob = self.pow(frob, self.p)
+            acc = self.add(acc, frob)
+        digits = np.broadcast_to(self._digits[acc], (self.q, self.f))
+        outside = np.flatnonzero(digits[:, 1:].any(axis=1))
+        if outside.size:
+            raise RuntimeError(f"trace of {outside[0]} left the prime subfield")
+        self._trace = digits[:, 0].copy()
 
     # group/field operations
 
     def elements(self) -> range:
         return range(self.q)
 
-    def add(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a + b) % self.p
-        p = self.p
-        e = 0
-        mult = 1
-        while a or b:
-            e += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return e
+    def add(self, a, b):
+        """a + b: digitwise mod p."""
+        return _int_or_array((self._digits[a] + self._digits[b]) % self.p @ self._place)
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+    def mul(self, a, b):
+        """a * b: through the log table, with 0 absorbing."""
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self._exp[self._log[a] + self._log[b]]
+        return _int_or_array(np.where((a == 0) | (b == 0), 0, prod))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+    def pow(self, a, e: int):
+        a = np.asarray(a)
+        power = self._exp[self._log[a] * e % (self.q - 1)]
+        return _int_or_array(np.where(a == 0, int(e == 0), power))
 
-    def _trace_slow(self, x: int) -> int:
-        acc = x
-        frob = x
-        for _ in range(self.f - 1):
-            frob = self.pow(frob, self.p)
-            acc = self.add(acc, frob)
-        digits = self.digits(acc)
-        if any(digits[1:]):
-            raise RuntimeError(f"trace of {x} left the prime subfield")
-        return digits[0]
-
-    def trace(self, x: int) -> int:
+    def trace(self, x):
         """Field trace F_q -> F_p (identity when f = 1)."""
-        return self._trace_table[x]
-
-    # cached numpy tables for vectorized sweeps (small q only)
-
-    def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            if self.q > _TABLE_Q_LIMIT:
-                raise ValueError("q too large for a dense addition table")
-            self._add_table = np.array(
-                [[self.add(a, b) for b in range(self.q)] for a in range(self.q)],
-                dtype=np.int64,
-            )
-        return self._add_table
-
-    def mul_table(self) -> np.ndarray:
-        if self._mul_np is None:
-            if self.q > _TABLE_Q_LIMIT:
-                raise ValueError("q too large for a dense multiplication table")
-            self._mul_np = np.array(
-                [[self.mul(a, b) for b in range(self.q)] for a in range(self.q)],
-                dtype=np.int64,
-            )
-        return self._mul_np
+        return _int_or_array(self._trace[x])
 
     def __repr__(self) -> str:
         return f"FieldTable(p={self.p}, f={self.f})"
@@ -307,9 +253,6 @@ class FqDistribution:
             w[x] += Fraction(wt)
         return cls(fld, tuple(w))
 
-    def float_weights(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
-
 
 def mu_hat(mu: FqDistribution, x: int) -> complex:
     """Fourier transform at x: sum_t mu(t) e_p(tr(x t))."""
@@ -325,12 +268,13 @@ def mu_hat(mu: FqDistribution, x: int) -> complex:
 def mu_hat_all(mu: FqDistribution) -> np.ndarray:
     """mu_hat at every field element, as one complex vector."""
     fld = mu.field
-    if fld.q <= _TABLE_Q_LIMIT:
-        roots = np.exp(2j * np.pi * np.arange(fld.p) / fld.p)
-        tr = np.array(fld._trace_table, dtype=np.int64)
-        chars = roots[tr[fld.mul_table()]]
-        return chars @ mu.float_weights()
-    return np.array([mu_hat(mu, x) for x in fld.elements()])
+    roots = np.exp(2j * np.pi * np.arange(fld.p) / fld.p)
+    xs = np.arange(fld.q)
+    total = np.zeros(fld.q, dtype=complex)
+    for t, w in enumerate(mu.weights):
+        if w:
+            total += float(w) * roots[fld.trace(fld.mul(xs, t))]
+    return total
 
 
 @dataclass(frozen=True)
@@ -341,9 +285,6 @@ class SpectrumSet:
     field: FieldTable
     eps: float
     members: FrozenSet[int]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
 
 def spec_set(mu: FqDistribution, eps: float) -> SpectrumSet:
@@ -362,24 +303,40 @@ def _check_coefficients(fld: FieldTable, w: Sequence[int]) -> None:
         raise ValueError(f"coefficients must be field elements 0..{fld.q - 1}")
 
 
+def _numerators(mu: FqDistribution) -> Tuple[int, np.ndarray]:
+    """(den, row): the weights of mu as integers over their lcm denominator,
+    int64 unless den could pass it."""
+    den = math.lcm(*(w.denominator for w in mu.weights))
+    row = [int(w * den) for w in mu.weights]
+    return den, np.array(row, dtype=np.int64 if den <= _INT64_MAX else object)
+
+
+def _dot_law_numerators(fld: FieldTable, numerators: np.ndarray, w: Sequence[int]) -> np.ndarray:
+    """Per row of numerators (a law over a common denominator den), the law of
+    sum_l xi_l * w_l as integer numerators over den^len(w), by convolution.
+    The numerators are Python ints where den^len(w) could pass int64."""
+    if int(numerators.sum(axis=1).max()) ** len(w) > _INT64_MAX:
+        numerators = numerators.astype(object)
+    xs = np.arange(fld.q)
+    law = np.zeros((numerators.shape[0], fld.q), dtype=numerators.dtype)
+    law[:, 0] = 1
+    support = np.flatnonzero(numerators.astype(bool).any(axis=0))
+    for wl in w:
+        nxt = np.zeros_like(law)
+        for t in support:
+            # s -> s + wl*t permutes F_q, so no target repeats
+            nxt[:, fld.add(xs, fld.mul(wl, t))] += law * numerators[:, t : t + 1]
+        law = nxt
+    return law
+
+
 def exact_dot_distribution(mu: FqDistribution, w: Sequence[int]) -> Tuple[Fraction, ...]:
     """Exact law of sum_l xi_l * w_l by iterated convolution."""
-    fld = mu.field
-    _check_coefficients(fld, w)
-    law = [Fraction(0)] * fld.q
-    law[0] = Fraction(1)
-    for wl in w:
-        if wl == 0:
-            continue  # a zero coefficient leaves the law unchanged
-        nxt = [Fraction(0)] * fld.q
-        for s in range(fld.q):
-            ls = law[s]
-            if ls:
-                for t, wt in enumerate(mu.weights):
-                    if wt:
-                        nxt[fld.add(s, fld.mul(wl, t))] += ls * wt
-        law = nxt
-    return tuple(law)
+    _check_coefficients(mu.field, w)
+    den, row = _numerators(mu)
+    law = _dot_law_numerators(mu.field, row[None, :], w)[0]
+    scale = den ** len(w)
+    return tuple(Fraction(int(c), scale) for c in law)
 
 
 # -- balance over additive subgroups --------------------------------------
@@ -400,21 +357,20 @@ def additive_subgroups(fld: FieldTable, min_dim: int = 0, max_dim: Optional[int]
     return out
 
 
+def _alpha_numerators(fld: FieldTable, den: int, numerators: np.ndarray) -> np.ndarray:
+    """alpha * den for each distribution row, via proper-subgroup cosets."""
+    best = np.zeros(numerators.shape[0], dtype=numerators.dtype)
+    shifts = np.arange(fld.q)[:, None]
+    for sub in additive_subgroups(fld, max_dim=fld.f - 1):
+        cosets = fld.add(shifts, np.array(sorted(sub)))  # row s is the coset s + H
+        best = np.maximum(best, numerators[:, cosets].sum(axis=2).max(axis=1))
+    return den - best
+
+
 def balance_alpha(mu: FqDistribution) -> Fraction:
     """1 - max mass of any coset of a proper additive subgroup."""
-    fld = mu.field
-    best = Fraction(0)
-    for sub in additive_subgroups(fld, max_dim=fld.f - 1):
-        seen = set()
-        for s in fld.elements():
-            if s in seen:
-                continue
-            coset = frozenset(fld.add(s, t) for t in sub)
-            seen |= coset
-            mass = sum(mu.weights[x] for x in coset)
-            if mass > best:
-                best = mass
-    return 1 - best
+    den, row = _numerators(mu)
+    return Fraction(int(_alpha_numerators(mu.field, den, row[None, :])[0]), den)
 
 
 # -- Littlewood-Offord bound check ----------------------------------------
@@ -464,11 +420,35 @@ def _level_function(mu: FqDistribution, w: Sequence[int]) -> np.ndarray:
     fld = mu.field
     _check_coefficients(fld, w)
     psi = _psi_values(mu)
+    xs = np.arange(fld.q)
     f = np.zeros(fld.q)
     for wl in w:
         if wl:
-            f += psi[[fld.mul(wl, t) for t in fld.elements()]]
+            f += psi[fld.mul(wl, xs)]
     return f
+
+
+def _sumset(fld: FieldTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted elements of a + b, adding a block of rows of a at a time
+    so the sum table stays within _SUMSET_BLOCK entries."""
+    hit = np.zeros(fld.q, dtype=bool)
+    step = max(1, _SUMSET_BLOCK // max(b.size, 1))
+    for i in range(0, a.size, step):
+        hit[fld.add(a[i : i + step, None], b)] = True
+    return np.flatnonzero(hit)
+
+
+def _nesting_by_fold(fld: FieldTable, f: np.ndarray, v: float, max_k: int) -> List[bool]:
+    """For k = 1..max_k, whether the k-fold sumset of T(v) = {t : f(t) <= v}
+    lies in T(k^2 v); each sumset extends the one before by T(v)."""
+    base = np.flatnonzero(f <= v + SLACK)
+    acc = base
+    holds = []
+    for k in range(1, max_k + 1):
+        if k > 1:
+            acc = _sumset(fld, acc, base)
+        holds.append(bool((f[acc] <= k * k * v + SLACK).all()))
+    return holds
 
 
 def check_level_set_nesting(mu: FqDistribution, w: Sequence[int], v: float, k: int) -> bool:
@@ -476,16 +456,7 @@ def check_level_set_nesting(mu: FqDistribution, w: Sequence[int], v: float, k: i
     where T(v) = {t : sum_l psi(w_l t) <= v} and psi = 1 - |mu_hat|^2."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    fld = mu.field
-    f = _level_function(mu, w)
-    base = {int(t) for t in np.nonzero(f <= v + SLACK)[0]}
-    if not base:
-        return True
-    acc = set(base)
-    for _ in range(k - 1):
-        acc = {fld.add(x, y) for x in acc for y in base}
-    target_v = k * k * v
-    return all(f[t] <= target_v + SLACK for t in acc)
+    return _nesting_by_fold(mu.field, _level_function(mu, w), v, k)[-1]
 
 
 # -- spectrum vs subgroups ----------------------------------------------------
@@ -521,13 +492,11 @@ def spectrum_subgroup_check(mu: FqDistribution) -> SubgroupCheckResult:
 def _dedup_compositions(total: int, parts: int):
     """Compositions of `total` into `parts` nonnegative parts whose overall
     gcd with `total` is 1 (so each distribution appears at one denominator)."""
-    for comp in itertools.product(range(total + 1), repeat=parts - 1):
-        rest = total - sum(comp)
-        if rest < 0:
-            continue
-        c = comp + (rest,)
-        g = math.gcd(total, *c)
-        if g == 1:
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):  # stars and bars
+        edges = (-1,) + bars + (slots,)
+        c = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+        if math.gcd(total, *c) == 1:
             yield c
 
 
@@ -537,22 +506,6 @@ def _weight_batches(q: int, max_den: int):
         block = np.array(list(_dedup_compositions(d, q)), dtype=np.int64)
         if block.size:
             yield d, block
-
-
-def _alpha_numerators(fld: FieldTable, den: int, numerators: np.ndarray) -> np.ndarray:
-    """alpha * den for each distribution row, via proper-subgroup cosets."""
-    best = np.zeros(numerators.shape[0], dtype=np.int64)
-    for sub in additive_subgroups(fld, max_dim=fld.f - 1):
-        members = sorted(sub)
-        seen = set()
-        for s in fld.elements():
-            if s in seen:
-                continue
-            coset = [fld.add(s, t) for t in members]
-            seen |= set(coset)
-            mass = numerators[:, coset].sum(axis=1)
-            np.maximum(best, mass, out=best)
-    return den - best
 
 
 def generator_multisets(fld: FieldTable, max_m: int) -> List[Tuple[int, ...]]:
@@ -569,24 +522,6 @@ def generator_multisets(fld: FieldTable, max_m: int) -> List[Tuple[int, ...]]:
 class SweepReport:
     cases: int
     violations: List[dict]
-
-
-def _dot_law_numerators(fld: FieldTable, numerators: np.ndarray, w: Sequence[int]) -> np.ndarray:
-    """Per row of numerators (a law over a common denominator den), the law of
-    sum_l xi_l * w_l as integer numerators over den^len(w), by convolution."""
-    q = fld.q
-    add = fld.add_table()
-    mul = fld.mul_table()
-    law = np.zeros((numerators.shape[0], q), dtype=np.int64)
-    law[:, 0] = 1
-    for wl in w:
-        nxt = np.zeros_like(law)
-        targets = add[np.arange(q)[:, None], mul[wl]]  # targets[s, t]
-        for s in range(q):
-            contrib = law[:, s : s + 1] * numerators
-            np.add.at(nxt, (slice(None), targets[s]), contrib)
-        law = nxt
-    return law
 
 
 def lo_exhaustive_grid(q: int, max_m: int = 6, max_den: int = 8) -> SweepReport:
@@ -710,11 +645,12 @@ def level_set_sweep(
         mu = FqDistribution(fld, tuple(Fraction(int(c), den) for c in numer))
         m = int(rng.integers(1, 5))
         w = [int(x) for x in rng.integers(0, q, size=m)]
+        f = _level_function(mu, w)
         grid = v_grid if v_grid is not None else [0.25 * i for i in range(13)]
         for v in grid:
-            for k in range(1, max_k + 1):
+            for k, holds in enumerate(_nesting_by_fold(fld, f, float(v), max_k), 1):
                 cases += 1
-                if not check_level_set_nesting(mu, w, float(v), k):
+                if not holds:
                     violations.append(
                         {"q": q, "weights": numer.tolist(), "w": w, "v": float(v), "k": k}
                     )

@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (permutation expansions, exhaustive
-enumeration over supports and subspaces, one fraction-free elimination on
-whole object rows) and exact, so it validates the optimized library paths
-without sharing code with them.
+enumeration over supports and subspaces, digitwise field arithmetic, one
+fraction-free elimination on whole object rows) and exact, so it validates
+the optimized library paths without sharing code with them.
 """
 
 from __future__ import annotations
@@ -132,6 +132,46 @@ def odlyzko_violations(p: int, n_max: int, max_den: int) -> List[dict]:
                         {"p": p, "n": n, "basis": basis, "weights": weights}
                     )
     return violations
+
+
+def field_add(fld, a: int, b: int) -> int:
+    """a + b in F_q = p^f: base-p digits added one by one mod p."""
+    p, out, place = fld.p, 0, 1
+    for _ in range(fld.f):
+        out += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+def field_mul(fld, a: int, b: int) -> int:
+    """a * b in F_q = p^f: schoolbook product of the digit polynomials,
+    reduced by the field's monic modulus from the top degree down."""
+    p, f, mod = fld.p, fld.f, fld.modulus_poly
+    da = [a // p**i % p for i in range(f)]
+    db = [b // p**i % p for i in range(f)]
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * f - 2, f - 1, -1):  # x^top = -sum_i mod[i] x^(top - f + i)
+        c, prod[top] = prod[top], 0
+        for i in range(f):
+            prod[top - f + i] -= c * mod[i]
+    return sum(c % p * p**i for i, c in enumerate(prod[:f]))
+
+
+def dot_law_brute_force(fld, weights: Sequence[Fraction], w: Sequence[int]) -> Tuple[Fraction, ...]:
+    """Exact law of sum_l xi_l * w_l for iid xi_l ~ weights, by enumerating
+    every outcome in support^len(w) with the reference field arithmetic."""
+    support = [t for t in range(fld.q) if weights[t]]
+    law = [Fraction(0)] * fld.q
+    for xs in itertools.product(support, repeat=len(w)):
+        prob, s = Fraction(1), 0
+        for x, wl in zip(xs, w):
+            prob *= weights[x]
+            s = field_add(fld, s, field_mul(fld, wl, x))
+        law[s] += prob
+    return tuple(law)
 
 
 def fraction_free(rows, rhs=None):

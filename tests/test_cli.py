@@ -310,6 +310,17 @@ def test_fourier_check_command():
     assert "lo_bound:" in out and "holds=True" in out
 
 
+def test_fourier_check_beyond_q_512():
+    mu = ",".join(["1/2", "1/4", "1/4"] + ["0"] * 518)
+    code, out, _ = run_cli(["fourier", "check", "--q", "521", "--mu", mu, "--w", "1,2,3", "--r", "0"])
+    assert code == 0
+    assert out.splitlines() == [
+        "lo_bound: lhs=0.123081 rhs=1.63299 holds=True",
+        "level_set_nesting(v=0.5, k=2): holds=True",
+        "spectrum_subgroup: alpha=1/2 hypothesis_ok=True holds=True",
+    ]
+
+
 @pytest.mark.parametrize("q,w,r", [("3", "1,1", "7"), ("3", "1,1", "-1"), ("4", "-1", "0"), ("4", "1,4", "0")])
 def test_fourier_check_rejects_values_outside_the_field(q, w, r):
     mu = ",".join(["1/" + q] * int(q))

@@ -28,6 +28,8 @@ from latsurj.fq import (
     _level_function,
 )
 
+from oracles import dot_law_brute_force, field_add, field_mul
+
 
 # -- field construction -------------------------------------------------
 
@@ -61,6 +63,25 @@ def test_multiplicative_group_cyclic(p, f):
         powers.add(x)
         x = fld.mul(x, fld.generator)
     assert powers == set(range(1, fld.q))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_array_arithmetic_matches_the_scalar_definitions(q):
+    fld = field_for_order(q)
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    add_ref = np.array([[field_add(fld, x, y) for y in range(q)] for x in range(q)])
+    mul_ref = np.array([[field_mul(fld, x, y) for y in range(q)] for x in range(q)])
+    assert (fld.add(a, b) == add_ref).all() and (fld.mul(a, b) == mul_ref).all()
+    assert all(fld.mul(x, y) == fld._mul_poly(x, y) for x in range(q) for y in range(q))
+    # broadcasting: a column against a row, a scalar against a vector, a 3-d block
+    xs = np.arange(q)
+    assert (fld.add(xs[:, None], xs) == add_ref).all() and (fld.mul(xs[:, None], xs) == mul_ref).all()
+    assert (fld.add(3, xs) == add_ref[3]).all() and (fld.mul(xs, 3) == mul_ref[:, 3]).all()
+    block = xs.reshape(-1, 1, 1)
+    assert fld.add(block, a[:2]).shape == (q, 2, q)
+    assert (fld.mul(block, a[:2])[:, 1, 0] == mul_ref[:, 1]).all()
+    # scalars come back as Python ints
+    assert type(fld.add(1, 2)) is int and type(fld.mul(2, 3)) is int
 
 
 def test_trace_outside_prime_subfield_raises(monkeypatch):
@@ -141,6 +162,18 @@ def test_mu_hat_all_matches_pointwise():
         assert vec[x] == pytest.approx(mu_hat(mu, x), abs=1e-12)
 
 
+def test_mu_hat_all_matches_pointwise_beyond_q_512():
+    fld = field(521, 1)
+    rng = random.Random(5)
+    support = rng.sample(range(fld.q), 7)
+    numer = [rng.randint(1, 9) for _ in support]
+    mu = FqDistribution.from_pairs(fld, [(t, Fraction(c, sum(numer))) for t, c in zip(support, numer)])
+    vec = mu_hat_all(mu)
+    assert vec.shape == (fld.q,)
+    for x in fld.elements():
+        assert vec[x] == pytest.approx(mu_hat(mu, x), abs=1e-12)
+
+
 def test_parseval_identity():
     rng = random.Random(3)
     for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
@@ -205,21 +238,45 @@ def test_exact_dot_sums_to_one_and_permutation_invariant():
     assert exact_dot_distribution(mu, w) == law
 
 
+# (q, numerator rows over one denominator, coefficients w)
+DOT_LAW_BATCHES = [
+    (3, [(1, 3, 0)], [1, 2, 1]),
+    (3, [(1, 2, 1), (4, 0, 0), (0, 1, 3)], [1, 2, 2]),
+    (3, [(1, 1, 1)], [1]),
+    (4, [(1, 0, 2, 3), (3, 1, 1, 1), (0, 0, 6, 0)], [1, 2, 3, 2]),
+    (4, [(2, 1, 0, 1)], [2, 0, 3]),
+    (5, [(1, 2, 0, 0, 4), (2, 2, 1, 1, 1)], [1, 3, 4]),
+    (8, [(1, 1, 0, 0, 2, 0, 0, 3)], [1, 2, 5, 7, 2]),
+]
+
+
 def test_exact_dot_agrees_with_brute_enumeration():
-    fld = field(3, 1)
-    mu = FqDistribution.from_pairs(fld, [(0, Fraction(1, 4)), (1, Fraction(3, 4))])
-    w = [1, 2, 1]
+    for q, rows, w in DOT_LAW_BATCHES:
+        fld = field_for_order(q)
+        for row in rows:
+            weights = tuple(Fraction(c, sum(row)) for c in row)
+            law = exact_dot_distribution(FqDistribution(fld, weights), w)
+            assert law == dot_law_brute_force(fld, weights, w), (q, row, w)
+
+
+def test_exact_dot_is_exact_past_int64():
+    # an lcm denominator near 10^14 over four coefficients: den^4 is near 10^56
+    fld = field(5, 1)
+    weights = (Fraction(1, 9999991), Fraction(3, 10000019), Fraction(0), Fraction(2, 7))
+    weights += (1 - sum(weights),)
+    w = [1, 2, 4, 3]
+    mu = FqDistribution(fld, weights)
+    den = math.lcm(*(x.denominator for x in weights))
+    assert den ** len(w) >= 2**63
     law = exact_dot_distribution(mu, w)
-    brute = [Fraction(0)] * 3
-    for xs in itertools.product(range(3), repeat=3):
-        prob = Fraction(1)
-        for x in xs:
-            prob *= mu.weights[x]
-        s = 0
-        for x, wl in zip(xs, w):
-            s = fld.add(s, fld.mul(wl, x))
-        brute[s] += prob
-    assert law == tuple(brute)
+    assert law == dot_law_brute_force(fld, weights, w)
+    assert sum(law) == 1
+    # a denominator past int64 already in the weights
+    wide = (Fraction(1, 10**10 + 1), Fraction(1, 10**10 + 3), Fraction(0), Fraction(0))
+    wide += (1 - sum(wide),)
+    mu_wide = FqDistribution(fld, wide)
+    assert exact_dot_distribution(mu_wide, w) == dot_law_brute_force(fld, wide, w)
+    assert balance_alpha(mu_wide) == 1 - max(wide)
 
 
 # -- balance and the LO bound ---------------------------------------------
@@ -417,22 +474,14 @@ def test_additive_subgroup_counts():
 def test_lo_grid_small_clean_and_cross_checked():
     rep = lo_exhaustive_grid(3, max_m=3, max_den=4)
     assert not rep.violations and rep.cases > 0
-    # the grid's integer convolution over den^m against the exact Fraction law
-    batches = [
-        (3, [(1, 2, 1), (4, 0, 0), (0, 1, 3)], [1, 2, 2]),
-        (3, [(1, 1, 1)], [1]),
-        (4, [(1, 0, 2, 3), (3, 1, 1, 1), (0, 0, 6, 0)], [1, 2, 3, 2]),
-        (4, [(2, 1, 0, 1)], [2, 0, 3]),
-        (5, [(1, 2, 0, 0, 4), (2, 2, 1, 1, 1)], [1, 3, 4]),
-        (8, [(1, 1, 0, 0, 2, 0, 0, 3)], [1, 2, 5, 7, 2]),
-    ]
-    for q, rows, w in batches:
+    # the grid's integer convolution over den^m against brute-force enumeration
+    for q, rows, w in DOT_LAW_BATCHES:
         fld = field_for_order(q)
         laws = _dot_law_numerators(fld, np.array(rows, dtype=np.int64), w)
         for row, law in zip(rows, laws):
             den = sum(row)
-            mu = FqDistribution(fld, tuple(Fraction(c, den) for c in row))
-            assert [Fraction(int(c), den ** len(w)) for c in law] == list(exact_dot_distribution(mu, w)), (q, row, w)
+            brute = dot_law_brute_force(fld, [Fraction(c, den) for c in row], w)
+            assert [Fraction(int(c), den ** len(w)) for c in law] == list(brute), (q, row, w)
 
 
 def test_cosine_sweep_clean():
