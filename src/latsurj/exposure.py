@@ -1,13 +1,13 @@
 """Incremental column-exposure simulation.
 
 Starting from a square integer matrix, fresh iid columns are appended in
-batches until the column space is full modulo every tracked prime (the
-prime divisors of the starting determinant, or an explicit list).  Batch
-sizes follow the ceil(B*log n / (alpha * d)) schedule, where d is the
-smallest positive corank among the tracked primes, so each batch is large
-enough for every prime still missing dimensions.  Each batch extends each
-prime's :class:`~latsurj.modp.ColumnSpace` (the annihilator of the columns
-so far) once, as one int64 block; the starting span is a row of adj(m0)
+batches until the column space is full modulo every tracked prime, the
+prime divisors of the starting determinant.  Batch sizes follow the
+ceil(B*log n / (alpha * d)) schedule, where d is the smallest positive
+corank among the tracked primes, so each batch is large enough for every
+prime still missing dimensions.  Each batch extends each prime's
+:class:`~latsurj.modp.ColumnSpace` (the annihilator of the columns so
+far) once, as one int64 block; the starting span is a row of adj(m0)
 wherever it can be.  All logarithms here are natural; the schedule
 constant B absorbs the base.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,16 +109,14 @@ def run_exposure(
     dist: Distribution,
     b: float,
     seed: int,
-    primes: Optional[Sequence[int]] = None,
     alpha: Optional[Fraction] = None,
 ) -> ExposureTrace:
     """Simulate the exposure process from square m0.
 
-    The tracked primes are `primes` when given, else the prime divisors of
-    det(m0); a FactorizationError from a determinant that resists the
-    factoring budget propagates.  Each batch samples k fresh columns from
-    dist; the same physical columns update every tracked prime's column
-    space.  The run stops when all coranks hit zero or the next batch
+    The tracked primes are the prime divisors of det(m0); a
+    FactorizationError from a determinant that resists the factoring
+    budget propagates.  Each batch samples k fresh columns from dist; the
+    same physical columns update every tracked prime's column space.  The run stops when all coranks hit zero or the next batch
     would exceed the hard cap of CAP_FACTOR * u_budget extra columns.
     """
     if not m0.is_square:
@@ -128,16 +126,10 @@ def run_exposure(
     if a <= 0:
         raise ValueError("distribution is degenerate (alpha = 0)")
 
-    rows = np.zeros((0, n), dtype=object)
-    if primes is None:
-        d, rows = adjugate_rows(m0.array)
-        if d == 0:
-            raise SingularStart("exposure from a singular matrix needs an explicit prime list")
-        tracked = tuple(sorted(_primes.prime_divisors(d)))
-    elif primes:
-        tracked = tuple(sorted(set(primes)))
-    else:
-        raise ValueError("an explicit prime list must not be empty")
+    d, rows = adjugate_rows(m0.array)
+    if d == 0:
+        raise SingularStart("exposure needs a nonsingular start: det(m0) = 0 has no prime divisors to track")
+    tracked = tuple(sorted(_primes.prime_divisors(d)))
 
     spaces = {p: _start_space(p, m0, rows) for p in tracked}
     coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}

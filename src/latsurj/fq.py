@@ -358,11 +358,19 @@ def additive_subgroups(fld: FieldTable, min_dim: int = 0, max_dim: Optional[int]
 
 
 def _alpha_numerators(fld: FieldTable, den: int, numerators: np.ndarray) -> np.ndarray:
-    """alpha * den for each distribution row, via proper-subgroup cosets."""
+    """alpha * den for each distribution row, via proper-subgroup cosets.
+
+    The lowest nonzero digits of the elements of H lie at the pivots of
+    its reduced row echelon basis, and subtracting basis rows clears an
+    element's digits there and leaves the others: the elements with zero
+    digits at the pivots hold one shift of each coset of H.
+    """
     best = np.zeros(numerators.shape[0], dtype=numerators.dtype)
-    shifts = np.arange(fld.q)[:, None]
     for sub in additive_subgroups(fld, max_dim=fld.f - 1):
-        cosets = fld.add(shifts, np.array(sorted(sub)))  # row s is the coset s + H
+        h = np.array(sorted(sub))
+        pivots = np.unique((fld._digits[h] != 0).argmax(axis=1)[h != 0])
+        shifts = np.flatnonzero(~fld._digits[:, pivots].any(axis=1))
+        cosets = fld.add(shifts[:, None], h)  # row t is the coset shifts[t] + H
         best = np.maximum(best, numerators[:, cosets].sum(axis=2).max(axis=1))
     return den - best
 

@@ -1,8 +1,8 @@
 """Linear algebra over prime fields F_p, and over Z/N with unit pivots.
 
 One elimination kernel, :func:`echelon`, serves every whole-matrix
-operation but the determinant: rank, greedy pivot columns and kernel
-bases are all read off its row echelon form.  It runs the same numpy
+operation but the determinant: rank, greedy pivot columns and left
+kernels are all read off its row echelon form.  It runs the same numpy
 code on an int64 array for word-size moduli (below 2^31, so a product of
 two residues fits in int64) and on an object array of Python integers
 beyond, which the certifier needs when it eliminates modulo a huge gcd of
@@ -15,7 +15,7 @@ own prime per slice and also gives det A * A^-1 B; the exact solve built
 on it is :func:`latsurj.exact_linalg.crt_solve`.  Both kernels reduce
 the trailing block only every few columns.  Stacks of matrices mod 2
 have their own bit-packed kernel (:func:`gf2_ranks`), and
-:class:`ColumnSpace` holds a growing span as its annihilator.
+:class:`ColumnSpace` holds a growing span over Z/N as its annihilator.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from . import primes as _primes
 
 # moduli below this keep int64 residues
 _WORD_LIMIT = 2**31
@@ -229,41 +227,13 @@ def rank_mod_p(a, p: int) -> int:
     return len(echelon(a, p)[1])
 
 
-def kernel_basis(a, p: int, count: Optional[int] = None) -> np.ndarray:
-    """A basis of the x with a @ x = 0 over Z/p, one row per free column,
-    or only its first `count` rows.
-
-    Row t is 1 at the t-th free column of :func:`echelon` and 0 at the
-    others; all rows back-substitute together, reduced like echelon.  A
-    composite p can raise NonUnitPivot, as in echelon.
-    """
-    e, pivots = echelon(a, p)
-    free = sorted(set(range(e.shape[1])) - set(pivots))[:count]
-    x = np.zeros((len(free), e.shape[1]), dtype=e.dtype)
-    x[range(len(free)), free] = 1
-    # pivot rows past the last free column solve to 0 in every row of x
-    rank = bisect.bisect(pivots, free[-1]) if free else 0
-    # sums[i, t] is row i of e times the part of x[t] solved so far
-    sums = e[:rank, free]
-    for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        x[:, c] = -(sums[i] % p) * pow(int(e[i, c]), -1, p) % p
-        sums[:i] += e[:i, c, None] * x[:, c]
-        if (rank - i) % _lazy_columns(p) == 0:
-            sums[:i] %= p
-    return x
-
-
-def kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """The first row of :func:`kernel_basis` as a tuple, or None if a is
-    injective; only the first free column is back-substituted."""
-    basis = kernel_basis(a, p, 1)
-    return tuple(int(v) for v in basis[0]) if len(basis) else None
-
-
-def left_kernel_vector(a, p: int) -> Optional[Tuple[int, ...]]:
-    """One nonzero row vector w with w @ a = 0 over Z/p, or None."""
-    return kernel_vector(int_array(a).T, p)
+def left_kernel_vector(a, n: int) -> Optional[Tuple[int, ...]]:
+    """One row vector w with w @ a = 0 over Z/n and a unit entry, or None
+    when a has full row rank: the first annihilator row of the span of
+    a's columns.  A composite n can raise NonUnitPivot, as in echelon."""
+    a = int_array(a)
+    kernel = ColumnSpace.from_columns(n, a.T, a.shape[0])._kernel
+    return tuple(int(v) for v in kernel[0]) if len(kernel) else None
 
 
 # -- batched ranks ---------------------------------------------------------
@@ -319,20 +289,21 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class ColumnSpace:
-    """Persistent span of column vectors over F_p, held as its annihilator.
+    """Persistent span of column vectors over Z/N, held as its annihilator.
 
     K is a (corank, ambient) basis of the rows y with y @ x = 0 for all x
     in the span: x is inside iff K @ x = 0.  Extending by columns X keeps
-    y @ K for a left-kernel basis y of K @ X, a few short rows.  K is
-    int64 for p < 2^31 and Python ints beyond, like :func:`echelon`.
+    the part over K of the rows of echelon([K @ X | K]) past its pivots in
+    K @ X.  A composite N works while every pivot is a unit, as in
+    :func:`echelon`.  K is int64 for N < 2^31 and Python ints beyond.
     """
 
     __slots__ = ("modulus", "ambient", "_kernel")
 
     def __init__(self, modulus: int, ambient: int, _kernel=None):
         if _kernel is None:
-            if not _primes.is_probable_prime(modulus):
-                raise ValueError(f"{modulus} is not prime")
+            if modulus < 2:
+                raise ValueError(f"modulus {modulus} is below 2")
             if not 1 <= ambient < 2**15:
                 raise ValueError("ambient dimension must lie in [1, 2^15)")
             _kernel = np.eye(ambient, dtype=np.int64 if modulus < _WORD_LIMIT else object)
@@ -350,11 +321,12 @@ class ColumnSpace:
         """Span of the given columns: vectors, or the rows of an array."""
         space = cls(modulus, ambient)
         columns = int_array(columns)
-        return cls(modulus, ambient, kernel_basis(space._columns(columns.T).T, modulus)) if columns.size else space
+        # the annihilator is I, so K @ X is X itself; echelon reduces it
+        return space._restrict(space._columns(columns.T)) if columns.size else space
 
     @classmethod
     def from_annihilator(cls, modulus: int, rows) -> "ColumnSpace":
-        """The span of the x with rows @ x = 0, for rows independent mod the prime modulus."""
+        """The span of the x with rows @ x = 0, for rows independent modulo every prime of the modulus."""
         kernel = _residues(rows, modulus, np.int64 if modulus < _WORD_LIMIT else object)
         return cls(modulus, kernel.shape[1], kernel)
 
@@ -373,9 +345,14 @@ class ColumnSpace:
         """Span of self and x, a vector or an (ambient, k) block of columns."""
         p = self.modulus
         product = _dot(self._kernel, _residues(self._columns(x), p, self._kernel.dtype), p)
-        if not product.any():
-            return self
-        return ColumnSpace(p, self.ambient, _dot(kernel_basis(product.T, p), self._kernel, p))
+        return self._restrict(product) if product.any() else self
+
+    def _restrict(self, product: np.ndarray) -> "ColumnSpace":
+        """The span annihilated by the y @ K with y @ product = 0, for product = K @ X
+        and K of independent rows, so that every row of the echelon form holds a pivot."""
+        k = product.shape[1]
+        e, pivots = echelon(np.hstack([product, self._kernel]), self.modulus)
+        return ColumnSpace(self.modulus, self.ambient, e[bisect.bisect(pivots, k - 1) :, k:])
 
 
 # -- subspace enumeration ------------------------------------------------

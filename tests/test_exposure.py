@@ -23,7 +23,7 @@ LAWS = {
     "sparse": Distribution(((0, Fraction(4, 5)), (1, Fraction(1, 10)), (-1, Fraction(1, 10)))),
 }
 # the largest int64 path, the smallest object path, and a 61-bit prime
-EXPLICIT_PRIMES = (2, 3, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+EDGE_PRIMES = (2, 3, 2**31 - 1, 2**31 + 11, 2**61 - 1)
 
 
 def test_batch_size_values():
@@ -68,15 +68,6 @@ def test_run_exposure_rejects_degenerate_dist():
     point = Distribution(((1, Fraction(1)),))
     with pytest.raises(ValueError):
         run_exposure(IntMatrix.identity(2), point, 1.0, seed=1)
-
-
-def test_run_exposure_explicit_primes():
-    m = IntMatrix.from_rows([[2, 0], [0, 2]])
-    trace = run_exposure(m, U01, 1.0, seed=9, primes=[2, 3])
-    assert trace.primes == (2, 3)
-    assert trace.trajectories[3][0] == 0  # det = 4, full rank mod 3
-    with pytest.raises(ValueError):
-        run_exposure(m, U01, 1.0, seed=9, primes=[])
 
 
 def test_unfactored_determinant_raises_without_smith_form(monkeypatch):
@@ -210,12 +201,11 @@ PLANTED_STARTS = {
 @given(
     st.integers(3, 12),
     st.sampled_from(sorted(LAWS)),
-    st.sampled_from(["divisors_of_det", "explicit"]),
     st.integers(0, 2**32),
     st.sampled_from(["sampled"] + sorted(PLANTED_STARTS)),
 )
 @settings(max_examples=80, deadline=None)
-def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
+def test_trajectories_match_prefix_ranks(n, law, seed, start):
     """trajectory[p][i] is n minus the rank mod p of the columns of the
     final matrix up to the end of batch i.  A starting span eliminates m0
     at least at the primes of corank 2 or more, and at every prime when
@@ -225,9 +215,10 @@ def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
         m0 = sample_matrix(EnsembleSpec("iid_rect", n, dist, derive_seed(seed, 0), m=n))
     else:
         m0 = planted_start(n, PLANTED_STARTS[start], seed)
-    if source == "divisors_of_det" and det(m0) == 0:
-        source = "explicit"  # a singular start has no prime divisors to track
-    primes = EXPLICIT_PRIMES if source == "explicit" else None
+    if det(m0) == 0:
+        with pytest.raises(SingularStart):
+            run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1))
+        return
     eliminated = []
     original = ColumnSpace.from_columns
 
@@ -237,22 +228,22 @@ def test_trajectories_match_prefix_ranks(n, law, source, seed, start):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ColumnSpace, "from_columns", staticmethod(from_columns))
-        trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1), primes=primes)
+        trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1))
     final = trace.final_matrix.array
     ends = np.cumsum((n,) + trace.batch_sizes)
     for p, traj in trace.trajectories.items():
         assert len(traj) == len(ends)
         assert list(traj) == [n - rank_mod_p(final[:, :end], p) for end in ends]
         assert traj[0] == 1 or p in eliminated
-    if source == "explicit" or det(m0) % crt_primes(1)[0] == 0:
+    if det(m0) % crt_primes(1)[0] == 0:
         assert eliminated == list(trace.primes)
     elif n <= 4:  # the adjugate rows are all of adj(m0)
         assert eliminated == [p for p in trace.primes if trace.trajectories[p][0] >= 2]
-    if start == "corank2" and source != "explicit":
+    if start == "corank2":
         assert trace.trajectories[3][0] == trace.trajectories[5][0] == 2
 
 
-@given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EXPLICIT_PRIMES + (5,)), st.integers(0, 2**32))
+@given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EDGE_PRIMES + (5,)), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_block_and_vector_extension_match_rank(n, k, p, seed):
     rng = np.random.default_rng(seed)

@@ -301,6 +301,20 @@ def test_balance_alpha_detects_coset_concentration():
     assert balance_alpha(mu3) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_balance_alpha_matches_all_shifts(q):
+    # one shift per coset against every shift s + H, s in F_q
+    fld = field_for_order(q)
+    subgroups = additive_subgroups(fld, max_dim=fld.f - 1)
+    rng = random.Random(q)
+    for _ in range(5):
+        support = rng.sample(range(q), rng.randint(1, q))
+        mass = [rng.randint(1, 9) for _ in support]
+        mu = FqDistribution.from_pairs(fld, [(x, Fraction(m, sum(mass))) for x, m in zip(support, mass)])
+        heaviest = max(sum(mu.weights[field_add(fld, s, h)] for h in sub) for sub in subgroups for s in range(q))
+        assert balance_alpha(mu) == 1 - heaviest
+
+
 def test_lo_bound_uniform_lhs_zero():
     fld = field(3, 1)
     mu = FqDistribution.uniform(fld)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from latsurj.modp import (
     echelon,
     gf2_ranks,
     iter_subspaces,
-    kernel_vector,
     left_kernel_vector,
     pack_gf2,
     rank_mod_p,
@@ -43,9 +43,26 @@ def test_reduce_mod_examples():
     assert echelon([[2**70 + 3]], 5)[0].tolist() == [[(2**70 + 3) % 5]]
 
 
-def test_reduce_mod_rejects_composite():
+def test_column_space_modulus():
     with pytest.raises(ValueError):
-        ColumnSpace(4, 2)
+        ColumnSpace(1, 2)
+    assert ColumnSpace(6, 3).dimension == 0
+    # a composite modulus: the rank modulo every prime factor at once, or a proper divisor
+    rng = random.Random(4)
+    for _ in range(200):
+        p, q = rng.sample([2, 3, 5, 7, 2**31 - 1], 2)
+        n = p * q * rng.choice([1, p])
+        ambient, k = rng.randint(1, 5), rng.randint(1, 6)
+        cols = [[rng.randint(-20, 20) for _ in range(ambient)] for _ in range(k)]
+        split = rng.randint(0, k)
+        try:
+            space = ColumnSpace.from_columns(n, cols[:split], ambient).extend(np.array(cols).T[:, split:])
+        except NonUnitPivot as error:
+            assert 1 < error.divisor < n and n % error.divisor == 0
+            continue
+        a = np.array(cols).T
+        assert space.dimension == rank_mod_p(a, p) == rank_mod_p(a, q)
+        assert all(space.contains(c) for c in cols)
 
 
 def test_rank_examples():
@@ -129,15 +146,10 @@ def test_echelon_matches_independent_oracles(case, as_array):
     if n == m:
         assert det_solve([a], [p])[0].tolist() == [fraction_free(rows)[1] % p]
 
-    x = kernel_vector(a, p)
-    assert (x is None) == (len(pivots) == m)
-    if x is not None:
-        assert any(x) and all(0 <= v < p for v in x)
-        assert all(sum(r * v for r, v in zip(row, x)) % p == 0 for row in rows)
     w = left_kernel_vector(a, p)
     assert (w is None) == (len(pivots) == n)
     if w is not None:
-        assert any(w)
+        assert any(w) and all(0 <= v < p for v in w)
         assert all(sum(w[i] * rows[i][j] for i in range(n)) % p == 0 for j in range(m))
 
 
@@ -166,8 +178,6 @@ def test_non_integer_entries_rejected(a):
             rank_mod_p(a, p)
         with pytest.raises(ValueError):
             echelon(a, p)
-        with pytest.raises(ValueError):
-            kernel_vector(a, p)
         with pytest.raises(ValueError):
             left_kernel_vector(a, p)
         with pytest.raises(ValueError):
@@ -345,17 +355,13 @@ def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
     n = min(lazy + 4, 40)  # more than L + 1 columns of updates
     a = _worst_case_growth(n)
     upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
-    # a free last column whose kernel vector is -1 at every pivot, so the
-    # back-substitution also adds (p - 1)^2 to every sum in every step
-    a = np.hstack([a, upper.T @ upper.sum(axis=1, keepdims=True)])
     e, pivots = echelon(a, p)
     assert pivots == list(range(n))
-    assert e[:, :n].tolist() == (upper % p).tolist()
-    assert modp.kernel_basis(a, p).tolist() == [[p - 1] * n + [1]]
+    assert e.tolist() == (upper % p).tolist()
     if lazy + 1 < n:
         # one more update between reductions passes 2^63 and wraps
         monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
-        assert echelon(a, p)[0][:, :n].tolist() != (upper % p).tolist()
+        assert echelon(a, p)[0].tolist() != (upper % p).tolist()
 
 
 def test_dets_shapes():
@@ -409,20 +415,33 @@ def test_gf2_ranks_match_rank_of_array(stack):
     assert gf2_ranks(pack_gf2(stack), stack.shape[-1]).tolist() == [len(echelon(a, 2)[1]) for a in stack]
 
 
+def _check_left_kernel_vector(a, n):
+    """left_kernel_vector(a, n) is a w with w @ a = 0 mod n and a unit
+    entry, None exactly at full row rank, or a proper divisor of n."""
+    try:
+        w = left_kernel_vector(a, n)
+        pivots = echelon(a, n)[1]
+    except NonUnitPivot as split:
+        assert 1 < split.divisor < n and n % split.divisor == 0
+        return None
+    a = np.array(a, dtype=object)
+    assert (w is None) == (len(pivots) == a.shape[0])
+    if w is not None:
+        assert len(w) == a.shape[0] and all(0 <= v < n for v in w)
+        assert not (np.array(w, dtype=object) @ a % n).any()
+        assert any(math.gcd(v, n) == 1 for v in w)
+    return w
+
+
 def test_kernel_vectors():
-    m = [[1, 2], [2, 4]]
-    v = kernel_vector(m, 5)
-    assert v is not None and any(v)
-    assert (v[0] * 1 + v[1] * 2) % 5 == 0
-    assert kernel_vector(np.eye(3, dtype=np.int64), 7) is None
-    w = left_kernel_vector(m, 5)
-    assert w is not None
-    assert all(sum(wi * m[i][j] for i, wi in enumerate(w)) % 5 == 0 for j in range(2))
-    # long back-substitution sums of products near 2^62 must not wrap in int64
+    assert _check_left_kernel_vector([[1, 2], [2, 4]], 5) is not None
+    assert _check_left_kernel_vector(np.eye(3, dtype=np.int64), 7) is None
+    assert _check_left_kernel_vector([[1, 2, 3]], 7) is None
+    assert _check_left_kernel_vector([[0, 0]], 7) == (1,)
+    assert _check_left_kernel_vector([[1], [2], [3]], 2**61 - 1) is not None  # object path
+    # long elimination sums of products near 2^62 must not wrap in int64
     p = 2**31 - 1
-    a = np.random.default_rng(3).integers(0, p, size=(12, 13))
-    x = kernel_vector(a, p)
-    assert any(x) and not (a.astype(object) @ np.array(x, dtype=object) % p).any()
+    assert _check_left_kernel_vector(np.random.default_rng(3).integers(0, p, size=(13, 12)), p) is not None
 
 
 def test_echelon_composite_modulus():
@@ -435,9 +454,8 @@ def test_echelon_composite_modulus():
             echelon(a, n)
         assert split.value.divisor == d
     with pytest.raises(NonUnitPivot):
-        kernel_vector([[4, 1], [0, 1]], 2**70)  # object path
-    assert kernel_vector([[1, 2], [2, 4]], 15) == (13, 1)
-    assert left_kernel_vector([[1, 2], [2, 4]], 15) == (13, 1)
+        left_kernel_vector([[4, 0], [1, 1]], 2**70)  # object path
+    assert _check_left_kernel_vector([[1, 2], [2, 4]], 15) is not None
 
     # either a proper divisor, or the rank modulo every prime factor at once
     rng = random.Random(11)
@@ -452,11 +470,7 @@ def test_echelon_composite_modulus():
             assert 1 < split.divisor < n and n % split.divisor == 0
             continue
         assert len(pivots) == rank_mod_p(a, p) == rank_mod_p(a, q)
-        x = kernel_vector(a, n)
-        assert (x is None) == (len(pivots) == cols)
-        if x is not None:
-            assert x[next(j for j in range(cols) if j not in pivots)] == 1
-            assert not (np.array(a, dtype=object) @ np.array(x, dtype=object) % n).any()
+        _check_left_kernel_vector(a, n)
 
 
 # -- column spaces ---------------------------------------------------------

@@ -56,3 +56,37 @@ def test_decider_takes_no_minors_one_at_a_time():
     called = _called_names("certifier.py", "is_surjective")
     assert "adjugate_rows" in called
     assert not called & {"dets_mod_crt", "_minors", "det"}
+
+
+def _is_modular_inverse(node):
+    # pow(x, -1, m): a built-in pow with exponent -1 and a modulus
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.UnaryOp)
+        and isinstance(node.args[1].op, ast.USub)
+        and getattr(node.args[1].operand, "value", None) == 1
+    )
+
+
+def test_modular_inverses_only_in_the_elimination_kernels():
+    # every elimination modulo N goes through echelon or det_solve, and
+    # the CRT lift inverts its moduli; any other pow(x, -1, m) would be a
+    # second elimination loop
+    inverting = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_modular_inverse(node) for node in ast.walk(function)):
+                    inverting.add(f"{path.stem}.{function.name}")
+    assert inverting == {"modp.echelon", "modp.det_solve", "exact_linalg._lift"}
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "modp.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if name.split(".")[-1] == "primes"], imported
