@@ -2,10 +2,12 @@
 
 Weights are exact rationals so balance parameters, convolutions, and the
 enumeration oracles in the tests stay exact.  Sampling draws a uniform
-integer below the common denominator and selects by cumulative weight,
-so no floating point enters the stream.  Per-trial substreams derive from
-(master seed, trial index) through a splittable seed sequence, which makes
-parallel experiments order-independent.
+integer digit below the common denominator (at most 2^63) and maps it to
+the atom whose cumulative weight first exceeds it, so no floating point
+enters the stream.  The map is a table of every digit's value while the
+denominator is at most 2^16 and a binary search above.  Per-trial
+substreams derive from (master seed, trial index) through a splittable
+seed sequence, which makes parallel experiments order-independent.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .exact_linalg import IntMatrix
 
 IID_RECT = "iid_rect"
 SYMMETRIC_PLUS = "symmetric_plus"
+# common denominators up to this draw values from a table indexed by digit
+_TABLE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,18 @@ class Distribution:
         return math.lcm(*(w.denominator for w in self.weights))
 
     @cached_property
-    def _cumulative_numerators(self) -> np.ndarray:
+    def _sampler(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(values, cuts, table) mapping a digit t below the common
+        denominator d to its atom: values[i], where i counts the cuts
+        (cumulative numerators) at most t.  table[t] is that value for
+        every t when d <= _TABLE_LIMIT, and table is None above."""
         d = self.common_denominator
-        acc = 0
-        cums = []
-        for _, w in self.atoms:
-            acc += int(w * d)
-            cums.append(acc)
-        return np.array(cums, dtype=np.int64)
+        if d > 2**63:
+            raise ValueError(f"weight denominator {d} exceeds the sampler's limit of 2^63")
+        values = np.array(self.values, dtype=np.int64)
+        cuts = np.cumsum([int(w * d) for w in self.weights[:-1]], dtype=np.int64)
+        table = values[np.searchsorted(cuts, np.arange(d), side="right")] if d <= _TABLE_LIMIT else None
+        return values, cuts, table
 
     def literal(self) -> str:
         """Canonical config-file / CLI literal, e.g. "0:9/10,1:1/10"."""
@@ -216,12 +224,13 @@ class EnsembleSpec:
 
 
 def _draw_values(dist: Distribution, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Exact sampling: uniform digits below the common denominator,
-    bucketed by cumulative numerator."""
-    d = dist.common_denominator
-    digits = gen.integers(0, d, size=count, dtype=np.int64)
-    idx = np.searchsorted(dist._cumulative_numerators, digits, side="right")
-    return np.array(dist.values, dtype=np.int64)[idx]
+    """Exact sampling: uniform int64 digits below the common denominator,
+    each mapped to its value by table or by cumulative numerator."""
+    values, cuts, table = dist._sampler
+    digits = gen.integers(0, dist.common_denominator, size=count, dtype=np.int64)
+    if table is not None:
+        return table[digits]
+    return values[np.searchsorted(cuts, digits, side="right")]
 
 
 def sample_array(spec: EnsembleSpec) -> np.ndarray:

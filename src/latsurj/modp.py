@@ -258,22 +258,23 @@ def gf2_ranks(packed: np.ndarray, cols: int) -> np.ndarray:
 
     All T matrices are eliminated together, one column at a time: each
     takes its first row carrying the bit as pivot and XORs it into every
-    row carrying the bit, the pivot included.  The pivot row thus drops
-    out as zero and counts one toward the rank; no other row keeps the bit.
+    row carrying the bit, the pivot included, through the bit itself as a
+    0/1 uint64 multiplier of the pivot row.  The pivot row thus drops out
+    as zero and counts one toward the rank; no other row keeps the bit.
+    Every 8 columns the loop stops once every matrix has full row rank.
     """
     rows = np.array(packed, dtype=np.uint64)
     count, n, _ = rows.shape
     trial = np.arange(count)
-    ranks = np.zeros(count, dtype=np.int64)
+    ranks = np.zeros(count, dtype=np.uint64)
     for c in range(cols):
-        hit = ((rows[:, :, c // 64] >> (c % 64)) & 1).astype(bool)
+        hit = (rows[:, :, c // 64] >> np.uint64(c % 64)) & np.uint64(1)
         piv = hit.argmax(axis=1)
-        pivot_rows = rows[trial, piv]
-        np.bitwise_xor(rows, pivot_rows[:, None, :], out=rows, where=hit[:, :, None])
+        rows ^= rows[trial, piv][:, None, :] * hit[:, :, None]
         ranks += hit[trial, piv]
-        if (ranks == n).all():
+        if c % 8 == 7 and (ranks == n).all():
             break
-    return ranks
+    return ranks.astype(np.int64)
 
 
 # -- incremental column spaces ------------------------------------------

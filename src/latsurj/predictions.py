@@ -9,6 +9,7 @@ tail bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -127,6 +128,7 @@ def trivial_cokernel_all_primes(u: int) -> Prediction:
     return Prediction(value, bound, terms)
 
 
+@functools.lru_cache
 def corank_prediction(q: int, k: int) -> Prediction:
     """Limiting P(corank = k) over F_q for a square balanced matrix:
     q^(-k^2) * prod_{i=1..k} (1-q^-i)^(-1) * prod_{i>k} (1-q^-i).

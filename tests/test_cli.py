@@ -168,6 +168,15 @@ def test_overflowing_support_exit_2():
     assert err.splitlines()[-1].startswith("error:")
 
 
+def test_weight_denominator_beyond_the_sampler_exit_2():
+    d = 2**63 + 1
+    code, out, err = run_cli(
+        ["experiment", "corank", "--n", "4", "--p", "2", "--dist", f"0:1/{d},1:{d - 1}/{d}", "--trials", "3"]
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: weight denominator {d} exceeds the sampler's limit of 2^63"
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("broken invariant"), FactorizationError("budget")])
 def test_internal_errors_exit_2(monkeypatch, exc):
     def fail(cfg):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,35 @@ def test_sampling_respects_negative_values():
     spec = EnsembleSpec("iid_rect", 10, dist, 5, m=10)
     vals = set(sample_array(spec).ravel().tolist())
     assert vals <= {-1, 0, 1}
+
+
+# sha256 prefixes of the little-endian int64 bytes of sample_array, computed
+# with a binary search over the cumulative numerators for every denominator:
+# the digit table must reproduce that stream, and any change of stream shows
+SAMPLE_DIGESTS = [
+    ("iid_rect", 30, "uniform01", 11, {"m": 31}, "1d7bc69f16dfc4a6"),
+    ("iid_rect", 30, "bernoulli(1/10)", 12, {"m": 33}, "160baff1fc3b291b"),
+    ("iid_rect", 30, "uniform-1,0,1", 13, {"m": 30}, "acfe29e850d284a2"),
+    ("symmetric_plus", 25, "uniform-1,0,1", 14, {"u": 2}, "53e99045e26e8f81"),
+    # denominator 2^16 + 1, just above the table limit
+    ("iid_rect", 20, "-2:21845/65537,0:21846/65537,3:21846/65537", 15, {"m": 21}, "df617d0d203e9046"),
+    # denominator 2^16, exactly at the table limit
+    ("iid_rect", 20, "-1:21845/65536,0:21845/65536,5:21846/65536", 16, {"m": 21}, "c1bd394691382c7d"),
+]
+
+
+@pytest.mark.parametrize("kind, n, literal, seed, shape, digest", SAMPLE_DIGESTS)
+def test_sample_stream_is_pinned(kind, n, literal, seed, shape, digest):
+    dist = parse_distribution(literal)
+    a = sample_array(EnsembleSpec(kind, n, dist, seed, **shape))
+    assert set(a.ravel().tolist()) == set(dist.values)
+    assert hashlib.sha256(a.astype("<i8").tobytes()).hexdigest()[:16] == digest
+
+
+def test_weight_denominator_limit():
+    # 2^63 is the largest denominator an int64 digit can reach
+    top = parse_distribution(f"0:1/{2**63},1:{2**63 - 1}/{2**63}")
+    assert set(sample_array(EnsembleSpec("iid_rect", 4, top, 3)).ravel().tolist()) <= {0, 1}
+    over = parse_distribution(f"0:1/{2**63 + 1},1:{2**63}/{2**63 + 1}")
+    with pytest.raises(ValueError, match=f"denominator {2**63 + 1} .*2\\^63"):
+        sample_array(EnsembleSpec("iid_rect", 4, over, 3))

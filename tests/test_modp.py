@@ -404,11 +404,24 @@ def gf2_stacks(draw):
     return stack
 
 
+def _identity_first(count, n, m, deficient=None):
+    """count n x m {0, 1} matrices opening with I_n and all ones after it;
+    trial `deficient` repeats its first row as its last."""
+    stack = np.ones((count, n, m), dtype=np.int64)
+    stack[:, :, :n] = np.eye(n, dtype=np.int64)
+    if deficient is not None:
+        stack[deficient, -1] = stack[deficient, 0]
+    return stack
+
+
 @given(gf2_stacks())
 @example(np.ones((1, 1, 1), dtype=np.int64))
 @example(np.zeros((2, 3, 65), dtype=np.int64))
 @example(-np.ones((1, 4, 130), dtype=np.int64))
 @example(np.tile(np.arange(-2, 3), (2, 3, 13)))
+@example(_identity_first(3, 4, 40))  # every trial is done at column 4 of 40
+@example(_identity_first(3, 4, 40, deficient=0))  # trial 0 stays at rank 3
+@example(np.random.default_rng(7).integers(-3, 4, size=(1, 70, 140)))  # 70 rows, 3 words
 @settings(max_examples=120, deadline=None)
 def test_gf2_ranks_match_rank_of_array(stack):
     # the bit-packed kernel against the generic one
