@@ -10,11 +10,10 @@ A^-1 B carry all of det A but the index (Abbott, Bronstein and Mulders,
 ISSAC 1999).  When g > 1, a row w of adj(A) nonzero modulo g annihilates
 M modulo g, as w A = d e_j and w B are 0 modulo g.  Otherwise M is
 eliminated modulo g with unit pivots.  A pivot that is a zero divisor
-splits g by a gcd (dynamic evaluation, the D5 principle of Della Dora,
-Dicrescenzo and Duval), and each part is settled on its own, smallest
-first, by a column set whose minor is a unit modulo that part or by a row
-vector that annihilates M modulo that part.  No step factors an integer
-or tests one for primality.
+splits g by a gcd (:func:`latsurj.modp.parts`), and each part is settled
+on its own, smallest first, by a column set whose minor is a unit modulo
+that part or by a row vector that annihilates M modulo that part.  No
+step factors an integer or tests one for primality.
 
 Every verdict ships inside a :class:`Certificate` that
 :func:`verify_certificate` re-checks from scratch with exact minors or one
@@ -24,16 +23,15 @@ certificates in linear algebra" (ISSAC 2011).
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .exact_linalg import IntMatrix, adjugate_rows, crt_solve, dets_mod_crt
-from .modp import NonUnitPivot, echelon, left_kernel_vector
+from .modp import echelon, left_kernel_vector, parts
 
 # Never called here.  The benchmark's per-layer trace still wraps these two
 # names in this module, and its tests expect their spans to exist.
@@ -140,44 +138,11 @@ def _minors(m: IntMatrix, sets: List[Tuple[int, ...]]) -> List[int]:
     return [minors[t] for t in range(len(sets))]
 
 
-def _split(n: int, d: int) -> List[int]:
-    """The parts of n after a zero divisor with gcd d, 1 < d < n.
-
-    They are gcd(n, d^inf), the part of n on the primes of d, and its
-    coprime cofactor, when that exceeds 1; otherwise d alone, which has
-    the same primes as n.
-    """
-    rest, common = n, math.gcd(n, d)
-    while common > 1:
-        rest //= common
-        common = math.gcd(rest, common)
-    return [n // rest, rest] if rest > 1 else [d]
-
-
-def _parts(n: int, attempt: Callable[[int], object]) -> Iterator[Tuple[int, object]]:
-    """(q, attempt(q)) for parts q of n, smallest first; none when n = 1.
-
-    An attempt that meets a zero divisor modulo q (NonUnitPivot) splits q,
-    and its parts join the queue.  The parts are pairwise coprime, and
-    every prime of n divides one of them.
-    """
-    queue = [n] if n > 1 else []
-    while queue:
-        q = heapq.heappop(queue)
-        try:
-            result = attempt(q)
-        except NonUnitPivot as split:
-            for part in _split(q, split.divisor):
-                heapq.heappush(queue, part)
-            continue
-        yield q, result
-
-
 def _annihilator(a: np.ndarray, n: int) -> Certificate:
     """The not-surjective certificate for M of rank below rows modulo
     every prime of n: a left kernel vector modulo n, or modulo the
     smallest part of n if that elimination splits it."""
-    modulus, w = next(_parts(n, lambda q: left_kernel_vector(a, q)))
+    modulus, w = next(parts(n, lambda q: left_kernel_vector(a, q)))
     if w is None:
         raise RuntimeError("no left kernel vector below full rank")
     return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=modulus, annihilator=w)
@@ -217,7 +182,7 @@ def is_surjective(m: IntMatrix) -> Certificate:
         if w.any():
             return Certificate(verdict=NOT_SURJECTIVE, reason="annihilator", modulus=g, annihilator=tuple(w.tolist()))
     extra = [s for s, _ in kept[1:]]
-    for q, part_pivots in _parts(g, lambda q: echelon(a, q)[1]):
+    for q, part_pivots in parts(g, lambda q: echelon(a, q)[1]):
         if len(part_pivots) < n:
             return _annihilator(a, q)
         # unit pivots: the minor on these columns is a unit modulo q

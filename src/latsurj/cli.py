@@ -47,7 +47,6 @@ from .fq import (
     spectrum_subgroup_check,
 )
 from .predictions import corank_prediction, trivial_cokernel_all_primes, trivial_cokernel_prediction
-from .primes import FactorizationError
 
 ENV_PREFIX = "LATSURJ_"
 
@@ -228,7 +227,7 @@ def _cmd_experiment(args) -> int:
     if args.format == "csv":
         if kind == EXPOSURE:
             rows = report.extra["runs"]
-            text = "seed,d0_per_prime,batches,total_extra_columns,achieved\n"
+            text = "seed,d0_per_modulus,batches,total_extra_columns,achieved\n"
             text += "\n".join(rows) + "\n"
             _write_output(text, args.out)
         else:
@@ -376,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_overrides(parser, args, argv)
         _log_config(args)
         return args.func(args)
-    except (ValueError, OSError, OverflowError, RuntimeError, FactorizationError) as exc:
+    except (ValueError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ seed sequence, which makes parallel experiments order-independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import primes as _primes
 from .exact_linalg import IntMatrix
+from .modp import NonUnitPivot, parts
 
 IID_RECT = "iid_rect"
 SYMMETRIC_PLUS = "symmetric_plus"
@@ -105,38 +107,44 @@ def sparse_bernoulli(alpha: Fraction | int | str) -> Distribution:
     return Distribution(((0, 1 - a), (1, a)))
 
 
+def _class_alpha(dist: Distribution, q: int) -> Fraction:
+    """1 minus the largest residue-class mass of dist mod q."""
+    masses: Dict[int, Fraction] = {}
+    for v, w in dist.atoms:
+        masses[v % q] = masses.get(v % q, Fraction(0)) + w
+    return 1 - max(masses.values())
+
+
 def alpha_mod_p(dist: Distribution, p: int) -> Fraction:
     """1 minus the largest residue-class mass of dist mod p."""
     if not _primes.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    masses: Dict[int, Fraction] = {}
-    for v, w in dist.atoms:
-        r = v % p
-        masses[r] = masses.get(r, Fraction(0)) + w
-    return 1 - max(masses.values())
+    return _class_alpha(dist, p)
 
 
 def alpha_min(dist: Distribution) -> Fraction:
     """Balance parameter: the minimum of alpha_mod_p over all primes.
 
     Only primes dividing some difference of support values can merge
-    distinct atoms, so the search space is the prime divisors of the
-    pairwise differences; every larger prime yields 1 - max single weight.
-    A single-atom law is degenerate and reports 0.
+    distinct atoms; every other prime yields 1 - max single weight.  The
+    lcm of the differences is split into pairwise coprime parts q by gcds
+    (:func:`~latsurj.modp.parts`), never factored: a difference sharing
+    a proper factor with q splits q, so on a part that survives each
+    difference is 0 or a unit modulo q, and the classes mod q are those
+    mod every prime of q.  A single-atom law is degenerate and reports 0.
     """
     if dist.is_degenerate:
         return Fraction(0)
-    candidates: set[int] = set()
-    vals = dist.values
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            candidates |= _primes.prime_divisors(vals[j] - vals[i])
-    best = 1 - dist.max_weight
-    for p in sorted(candidates):
-        a = alpha_mod_p(dist, p)
-        if a < best:
-            best = a
-    return best
+    differences = [v - u for u, v in itertools.combinations(dist.values, 2)]
+
+    def attempt(q: int) -> Fraction:
+        for delta in differences:
+            common = math.gcd(delta, q)
+            if 1 < common < q:
+                raise NonUnitPivot(common)
+        return _class_alpha(dist, q)
+
+    return min([1 - dist.max_weight] + [a for _, a in parts(math.lcm(*differences), attempt)])
 
 
 # -- distribution literals ----------------------------------------------

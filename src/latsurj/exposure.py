@@ -1,15 +1,19 @@
 """Incremental column-exposure simulation.
 
-Starting from a square integer matrix, fresh iid columns are appended in
-batches until the column space is full modulo every tracked prime, the
-prime divisors of the starting determinant.  Batch sizes follow the
+Starting from a square integer matrix m0, fresh iid columns are appended
+in batches until the column space is full modulo every prime of
+N = |det(m0)|.  N is never factored: it is tracked as pairwise coprime
+parts q, each with one :class:`~latsurj.modp.ColumnSpace` over Z/q (the
+annihilator of the columns so far).  While every pivot is a unit modulo
+q, the corank is the same modulo every prime of q; a zero divisor splits
+q by a gcd (:func:`~latsurj.modp.parts`), and each new part carries on
+from the annihilator and the trajectory so far.  Batch sizes follow the
 ceil(B*log n / (alpha * d)) schedule, where d is the smallest positive
-corank among the tracked primes, so each batch is large enough for every
-prime still missing dimensions.  Each batch extends each prime's
-:class:`~latsurj.modp.ColumnSpace` (the annihilator of the columns so
-far) once, as one int64 block; the starting span is a row of adj(m0)
-wherever it can be.  All logarithms here are natural; the schedule
-constant B absorbs the base.
+corank among the parts, so each batch is large enough for every prime
+still missing dimensions.  Each batch extends each part's column space
+once, as one block; the starting span is a row of adj(m0) wherever it
+can be.  All logarithms here are natural; the schedule constant B
+absorbs the base.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import primes as _primes
 from .ensembles import Distribution, _generator, alpha_min, sample_columns
 from .exact_linalg import IntMatrix, adjugate_rows
-from .modp import ColumnSpace
+from .modp import ColumnSpace, NonUnitPivot, parts
 
 # Never called here.  The benchmark's per-layer trace still wraps this name
 # in this module, and its tests expect the span to exist.
@@ -59,9 +62,12 @@ def u_budget(n: int, alpha: Fraction | float, b: float) -> int:
 class ExposureTrace:
     """Record of one exposure run.
 
-    Corank trajectories are indexed per batch: trajectory[p][0] is the
-    initial corank and trajectory[p][i] the corank after batch i.
-    batch_d_prev[i] is the minimum positive corank that sized batch i+1.
+    `primes` holds the tracked moduli, ascending: pairwise coprime parts
+    of |det(m0)| whose primes are exactly those of det(m0).  Corank
+    trajectories are indexed per batch and hold modulo every prime of
+    their modulus q: trajectory[q][0] is the initial corank and
+    trajectory[q][i] the corank after batch i.  batch_d_prev[i] is the
+    minimum positive corank that sized batch i+1.
     """
 
     primes: Tuple[int, ...]
@@ -93,15 +99,21 @@ class SingularStart(ValueError):
     """det(m0) = 0: a start with no prime divisors to track."""
 
 
-def _start_space(p: int, m0: IntMatrix, rows: np.ndarray) -> ColumnSpace:
-    """The span of the columns of m0 mod p, given rows of adj(m0) when p
-    divides det(m0).  A row w of adj(m0) has w m0 = det(m0) e_j = 0 mod p,
-    and w != 0 mod p rules out corank 2 or more, under which every
-    (n-1)-minor vanishes: [w] is then the whole annihilator."""
-    for w in rows % p:
-        if w.any():
-            return ColumnSpace.from_annihilator(p, w[None])
-    return ColumnSpace.from_columns(p, m0.array.T, m0.rows)
+def _start_space(q: int, m0: IntMatrix, rows: np.ndarray) -> ColumnSpace:
+    """The span of the columns of m0 over Z/q, q a part of det(m0), given
+    rows of adj(m0).  A row w of adj(m0) has w m0 = det(m0) e_j = 0 mod q,
+    and gcd(q, w) = 1 makes w nonzero modulo every prime of q, which rules
+    out corank 2 or more there, under which every (n-1)-minor vanishes:
+    [w] is then the whole annihilator.  A gcd strictly between 1 and q
+    splits q (NonUnitPivot); where every row vanishes modulo q, m0 is
+    eliminated."""
+    for w in rows % q:
+        common = math.gcd(q, *w.tolist())
+        if common == 1:
+            return ColumnSpace.from_annihilator(q, w[None])
+        if common < q:
+            raise NonUnitPivot(common)
+    return ColumnSpace.from_columns(q, m0.array.T, m0.rows)
 
 
 def run_exposure(
@@ -113,10 +125,12 @@ def run_exposure(
 ) -> ExposureTrace:
     """Simulate the exposure process from square m0.
 
-    The tracked primes are the prime divisors of det(m0); a
-    FactorizationError from a determinant that resists the factoring
-    budget propagates.  Each batch samples k fresh columns from dist; the
-    same physical columns update every tracked prime's column space.  The run stops when all coranks hit zero or the next batch
+    The tracked moduli are the parts of |det(m0)|, split by gcds only.
+    Each batch samples k fresh columns from dist; the same physical
+    columns extend every part's column space that still has positive
+    corank, and a part whose extension meets a zero divisor is replaced
+    by its own parts, each extending the old annihilator taken modulo
+    itself.  The run stops when all coranks hit zero or the next batch
     would exceed the hard cap of CAP_FACTOR * u_budget extra columns.
     """
     if not m0.is_square:
@@ -129,11 +143,8 @@ def run_exposure(
     d, rows = adjugate_rows(m0.array)
     if d == 0:
         raise SingularStart("exposure needs a nonsingular start: det(m0) = 0 has no prime divisors to track")
-    tracked = tuple(sorted(_primes.prime_divisors(d)))
-
-    spaces = {p: _start_space(p, m0, rows) for p in tracked}
-    coranks: Dict[int, int] = {p: n - spaces[p].dimension for p in tracked}
-    trajectories: Dict[int, List[int]] = {p: [coranks[p]] for p in tracked}
+    spaces = dict(parts(abs(d), lambda q: _start_space(q, m0, rows)))
+    trajectories: Dict[int, List[int]] = {q: [n - space.dimension] for q, space in spaces.items()}
 
     cap = CAP_FACTOR * u_budget(n, a, b) if n >= 3 else CAP_FACTOR
     gen = _generator(seed)
@@ -142,8 +153,8 @@ def run_exposure(
     blocks: List[np.ndarray] = []
     consumed = 0
 
-    while any(d > 0 for d in coranks.values()):
-        d_prev = min(d for d in coranks.values() if d > 0)
+    while any(traj[-1] for traj in trajectories.values()):
+        d_prev = min(traj[-1] for traj in trajectories.values() if traj[-1])
         k = batch_size(n, a, b, d_prev)
         if consumed + k > cap:
             break
@@ -151,24 +162,27 @@ def run_exposure(
         batch_sizes.append(k)
         block = sample_columns(dist, n, k, gen)
         blocks.append(block)
-        for p in tracked:
-            if coranks[p] > 0:
-                spaces[p] = spaces[p].extend(block)
-                coranks[p] = n - spaces[p].dimension
+        for q, space in list(spaces.items()):
+            if space.dimension == n:
+                trajectories[q].append(0)
+                continue
+            del spaces[q]
+            history = trajectories.pop(q)
+            for r, grown in parts(q, lambda r: ColumnSpace.from_annihilator(r, space.annihilator).extend(block)):
+                spaces[r] = grown
+                trajectories[r] = history + [n - grown.dimension]
         consumed += k
-        for p in tracked:
-            trajectories[p].append(coranks[p])
 
     final = m0
     if blocks:
         final = IntMatrix.from_array(np.hstack([m0.array, *blocks]))
     return ExposureTrace(
-        primes=tracked,
-        trajectories={p: tuple(t) for p, t in trajectories.items()},
+        primes=tuple(sorted(spaces)),
+        trajectories={q: tuple(trajectories[q]) for q in sorted(trajectories)},
         batch_sizes=tuple(batch_sizes),
         batch_d_prev=tuple(batch_d_prev),
         total_extra_columns=consumed,
-        achieved=all(d == 0 for d in coranks.values()),
+        achieved=not any(traj[-1] for traj in trajectories.values()),
         cap=cap,
         seed=seed,
         alpha=Fraction(a),

@@ -216,7 +216,9 @@ def field(p: int, f: int = 1) -> FieldTable:
 
 
 def field_for_order(q: int) -> FieldTable:
-    """FieldTable for a prime power q."""
+    """FieldTable for a prime power 2 <= q <= MAX_Q."""
+    if not 2 <= q <= MAX_Q:
+        raise ValueError(f"field order q = {q} must lie in [2, {MAX_Q}]")
     fac = _primes.factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -9,11 +9,14 @@ beyond, which the certifier needs when it eliminates modulo a huge gcd of
 minors.  The modulus may be composite: while every pivot is a unit the
 elimination is valid modulo every prime factor at once, and a pivot that
 is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
-the modulus.  Determinants mod p come from one stacked kernel,
-:func:`det_solve`, which eliminates a (k, n, n + s) stack [A | B] with its
-own prime per slice and also gives det A * A^-1 B; the exact solve built
-on it is :func:`latsurj.exact_linalg.crt_solve`.  Both kernels reduce
-the trailing block only every few columns.  Stacks of matrices mod 2
+the modulus.  :func:`parts` then splits the modulus by gcds and settles
+each part on its own (dynamic evaluation, the D5 principle of Della
+Dora, Dicrescenzo and Duval), so that no caller factors an integer.
+Determinants mod p come from one stacked kernel, :func:`det_solve`,
+which eliminates a (k, n, n + s) stack [A | B] with its own prime per
+slice and also gives det A * A^-1 B; the exact solve built on it is
+:func:`latsurj.exact_linalg.crt_solve`.  Both kernels reduce the
+trailing block only every few columns.  Stacks of matrices mod 2
 have their own bit-packed kernel (:func:`gf2_ranks`), and
 :class:`ColumnSpace` holds a growing span over Z/N as its annihilator.
 """
@@ -21,10 +24,11 @@ have their own bit-packed kernel (:func:`gf2_ranks`), and
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import operator
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,39 @@ class NonUnitPivot(ArithmeticError):
     def __init__(self, divisor: int) -> None:
         super().__init__(f"pivot shares the factor {divisor} with the modulus")
         self.divisor = divisor
+
+
+def _split(n: int, d: int) -> List[int]:
+    """The parts of n after a zero divisor with gcd d, 1 < d < n.
+
+    They are gcd(n, d^inf), the part of n on the primes of d, and its
+    coprime cofactor, when that exceeds 1; otherwise d alone, which has
+    the same primes as n.
+    """
+    rest, common = n, math.gcd(n, d)
+    while common > 1:
+        rest //= common
+        common = math.gcd(rest, common)
+    return [n // rest, rest] if rest > 1 else [d]
+
+
+def parts(n: int, attempt: Callable[[int], object]) -> Iterator[Tuple[int, object]]:
+    """(q, attempt(q)) for parts q of n, smallest first; none when n = 1.
+
+    An attempt that meets a zero divisor modulo q (NonUnitPivot) splits q,
+    and its parts join the queue.  The parts are pairwise coprime, and
+    every prime of n divides one of them.
+    """
+    queue = [n] if n > 1 else []
+    while queue:
+        q = heapq.heappop(queue)
+        try:
+            result = attempt(q)
+        except NonUnitPivot as split:
+            for part in _split(q, split.divisor):
+                heapq.heappush(queue, part)
+            continue
+        yield q, result
 
 
 def int_array(a) -> np.ndarray:
@@ -316,6 +353,11 @@ class ColumnSpace:
     @property
     def dimension(self) -> int:
         return self.ambient - self._kernel.shape[0]
+
+    @property
+    def annihilator(self) -> np.ndarray:
+        """K, read-only: x lies in the span iff K @ x = 0."""
+        return self._kernel
 
     @classmethod
     def from_columns(cls, modulus: int, columns, ambient: int) -> "ColumnSpace":

@@ -1,45 +1,17 @@
-"""Primality testing, prime generation, and bounded integer factorization.
+"""Primality testing, CRT primes, and factoring of field orders.
 
-The factorizer is deliberately budgeted: trial division up to a fixed limit,
-then Brent-style Pollard rho with a bounded iteration count; trial division
-is one numpy pass over an int64 array of the primes.  The exposure
-simulator, which tracks the primes of a determinant, lets a
-:class:`FactorizationError` propagate; the certifier needs no factoring
-and no primality test.  The CRT primes
-below 2^30 come from the Miller-Rabin test, which is deterministic at that
-size.  All routines are deterministic: no randomized seeds enter the rho
-cycle.
+The CRT primes below 2^30 come from the Miller-Rabin test, which is
+deterministic at that size.  :func:`factorize` is plain trial division,
+for the field orders q <= :data:`latsurj.fq.MAX_Q` (at most 64
+divisions); nothing else factors.  The certifier, the exposure
+simulation and :func:`latsurj.ensembles.alpha_min` split composite
+moduli by gcds instead (:func:`latsurj.modp.parts`).
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from functools import lru_cache
 from typing import Dict, List
-
-import numpy as np
-
-TRIAL_DIVISION_LIMIT = 10**6
-RHO_ITERATION_BUDGET = 2_000_000
-
-
-class FactorizationError(Exception):
-    """A cofactor resisted the factoring budget."""
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> np.ndarray:
-    """The primes up to TRIAL_DIVISION_LIMIT, ascending: a read-only int64 sieve."""
-    sieve = np.ones(TRIAL_DIVISION_LIMIT + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(TRIAL_DIVISION_LIMIT) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64)
-    primes.setflags(write=False)
-    return primes
-
 
 # Deterministic Miller-Rabin witness set: the first 13 primes decide
 # primality for all n < 3.3 * 10^24; beyond that the test is probabilistic
@@ -72,103 +44,20 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho_brent(n: int, c: int, budget: int) -> tuple[int | None, int]:
-    """One Brent rho attempt on odd composite n.
-
-    Returns (factor or None, iterations consumed).  Deterministic for a
-    given polynomial offset c.
-    """
-    y, r, q = 2, 1, 1
-    g = 1
-    used = 0
-    x = ys = y
-    while g == 1 and used < budget:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        used += r
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            step = min(128, r - k)
-            for _ in range(step):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            used += step
-            g = math.gcd(q, n)
-            k += step
-        r *= 2
-    if g == n:
-        # The batched gcd collapsed; replay one step at a time.
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    if 1 < g < n:
-        return g, used
-    return None, used
-
-
-def factorize(n: int, rho_budget: int = RHO_ITERATION_BUDGET) -> Dict[int, int]:
-    """Factor |n| completely or raise FactorizationError.
-
-    Trial division first, then bounded Pollard rho on the surviving
-    cofactors.  The rho budget is shared across all cofactors of one call.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    # n mod all trial primes up to sqrt(n) by Horner's rule, in place, over a top limb
-    # below 2^62, then 42-bit limbs: a remainder (< 2^20) shifted by one limb stays < 2^63
-    primes = _trial_primes()
-    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-    low = -(-max(n.bit_length() - 62, 0) // 42) * 42
-    rest = np.remainder(n >> low, primes)
-    for shift in range(low - 42, -1, -42):
-        rest <<= 42
-        rest += (n >> shift) & (2**42 - 1)
-        np.remainder(rest, primes, out=rest)
+def factorize(n: int) -> Dict[int, int]:
+    """{prime: exponent} of n >= 2 by trial division, √n steps at most."""
+    if n < 2:
+        raise ValueError(f"cannot factor {n}: need n >= 2")
     factors: Dict[int, int] = {}
-    for p in primes[rest == 0].tolist():
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1 and n <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
-        # no prime up to min(sqrt(n), the limit) divides n, so n is prime
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
         factors[n] = factors.get(n, 0) + 1
-        return factors
-
-    remaining = rho_budget
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        found = None
-        for c in (1, 3, 5, 7, 9, 11):
-            if remaining <= 0:
-                break
-            found, used = _pollard_rho_brent(m, c, remaining)
-            remaining -= used
-            if found is not None:
-                break
-        if found is None:
-            raise FactorizationError(f"cofactor {m} resisted the factoring budget")
-        stack.append(found)
-        stack.append(m // found)
     return factors
-
-
-def prime_divisors(n: int) -> set[int]:
-    """Set of prime divisors of |n| (n nonzero)."""
-    if n == 0:
-        raise ValueError("0 has no prime divisor set")
-    if abs(n) == 1:
-        return set()
-    return set(factorize(n))
 
 
 _CRT_PRIME_CACHE: List[int] = []

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +38,41 @@ def det_permutation_expansion(m: IntMatrix) -> int:
                 break
         total += prod
     return total
+
+
+def naive_factorization(n: int) -> Dict[int, int]:
+    """{prime: exponent} of |n| by trial division by every integer up to sqrt(|n|)."""
+    n, out, d = abs(n), Counter(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] += 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] += 1
+    return dict(out)
+
+
+def alpha_min_brute_force(atoms: Sequence[Tuple[int, Fraction]]) -> Fraction:
+    """min over primes p of 1 - the largest mass of a residue class mod p.
+
+    Every prime up to twice the support's diameter is tried: by Bertrand's
+    postulate one of them exceeds the diameter and merges no two atoms, as
+    every larger prime does.  A point mass reports 0.
+    """
+    values = [v for v, _ in atoms]
+    span = max(values) - min(values)
+    if span == 0:
+        return Fraction(0)
+    best = Fraction(1)
+    for p in range(2, 2 * span + 1):
+        if naive_factorization(p) != {p: 1}:
+            continue
+        masses: Dict[int, Fraction] = {}
+        for v, w in atoms:
+            masses[v % p] = masses.get(v % p, Fraction(0)) + w
+        best = min(best, 1 - max(masses.values()))
+    return best
 
 
 def cokernel_brute_force(m: IntMatrix) -> bool:

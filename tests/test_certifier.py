@@ -21,7 +21,7 @@ from latsurj.exact_linalg import (
     smith_diagonal,
 )
 from latsurj.modp import rank_mod_p
-from latsurj.primes import FactorizationError, crt_primes, factorize, is_probable_prime, prime_divisors
+from latsurj.primes import crt_primes, is_probable_prime
 
 from oracles import cokernel_brute_force, fraction_free
 
@@ -32,32 +32,7 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
     )
 
 
-# -- factoring helpers --------------------------------------------------
-
-
-def test_prime_divisors_examples():
-    assert prime_divisors(12) == {2, 3}
-    assert prime_divisors(1) == set()
-    assert prime_divisors(-1) == set()
-    assert prime_divisors(9991) == {97, 103}
-    with pytest.raises(ValueError):
-        prime_divisors(0)
-
-
-def test_factorize_products_and_budget():
-    rng = random.Random(2)
-    for _ in range(50):
-        n = rng.randint(2, 10**9)
-        fac = factorize(n)
-        prod = 1
-        for p, e in fac.items():
-            assert is_probable_prime(p)
-            prod *= p**e
-        assert prod == n
-    # two ~90-bit primes exceed any reasonable rho budget
-    hard = (2**89 - 1) * (2**107 - 1)
-    with pytest.raises(FactorizationError):
-        factorize(hard, rho_budget=10_000)
+# -- primality ----------------------------------------------------------
 
 
 def test_miller_rabin_agrees_with_trial_division():
@@ -616,14 +591,13 @@ def test_forged_annihilator_rejected():
 _EXACT_TOOLS = {
     "latsurj.certifier": (
         "factorize",
-        "prime_divisors",
         "cokernel",
         "smith_diagonal",
         "smith_normal_form",
         "is_probable_prime",
         "rank_mod_p",
     ),
-    "latsurj.primes": ("factorize", "prime_divisors", "is_probable_prime"),
+    "latsurj.primes": ("factorize", "is_probable_prime"),
     "latsurj.exact_linalg": ("cokernel", "smith_diagonal", "smith_normal_form"),
 }
 
@@ -663,9 +637,9 @@ def certify_without_exact_tools(m):
 
 
 def test_snf_fallback_certificates():
-    # the parent certifier fell back to the Smith form when factoring the
-    # gcd failed; no path needs either now.  The gcd below is a product of
-    # two Mersenne primes of 89 and 107 bits, beyond any rho budget.
+    # the certifier once fell back to the Smith form when factoring the gcd
+    # failed; no path needs either now.  The gcd below is a product of two
+    # Mersenne primes of 89 and 107 bits, which no trial division reaches.
     hard = (2**89 - 1) * (2**107 - 1)
     scaled = IntMatrix.from_rows([[2, 0, 2], [0, 2, 2]])
     assert not cokernel(scaled).is_trivial

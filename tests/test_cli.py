@@ -7,7 +7,6 @@ import pytest
 
 from latsurj import cli
 from latsurj.cli import main
-from latsurj.primes import FactorizationError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -177,7 +176,7 @@ def test_weight_denominator_beyond_the_sampler_exit_2():
     assert err.splitlines()[-1] == f"error: weight denominator {d} exceeds the sampler's limit of 2^63"
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("broken invariant"), FactorizationError("budget")])
+@pytest.mark.parametrize("exc", [RuntimeError("broken invariant"), OverflowError("too large")])
 def test_internal_errors_exit_2(monkeypatch, exc):
     def fail(cfg):
         raise exc
@@ -300,9 +299,25 @@ def test_exposure_csv_rows_per_run():
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "seed,d0_per_prime,batches,total_extra_columns,achieved"
+    assert lines[0] == "seed,d0_per_modulus,batches,total_extra_columns,achieved"
     assert len(lines) == 7  # header + one row per run
     assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 100-bit cofactor of det(m0) in the first trial
+        ["--n", "25", "--dist", "0:1/2,6:1/4,35:1/4", "--B", "1.5", "--trials", "1", "--seed", "5"],
+        # a 164-bit cofactor in the sixth trial
+        ["--n", "100", "--trials", "6", "--seed", "7"],
+    ],
+)
+def test_exposure_with_unfactorable_determinants_completes(argv):
+    code, out, _ = run_cli(["experiment", "exposure", *argv])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["runs"]) == int(argv[argv.index("--trials") + 1])
 
 
 def test_exposure_without_a_nonsingular_start_exits_2():
@@ -335,6 +350,13 @@ def test_fourier_check_rejects_values_outside_the_field(q, w, r):
     mu = ",".join(["1/" + q] * int(q))
     code, out, err = run_cli(["fourier", "check", "--q", q, "--mu", mu, "--w", w, "--r", r])
     assert code == 2 and err.splitlines()[-1].startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("q", ["-4", "1", "4097"])
+def test_fourier_check_rejects_orders_outside_the_tables(q):
+    code, out, err = run_cli(["fourier", "check", "--q", q, "--mu", "1/2,1/2,0,0", "--w", "1", "--r", "0"])
+    assert code == 2 and err.splitlines()[-1] == f"error: field order q = {q} must lie in [2, 4096]"
     assert out == ""
 
 

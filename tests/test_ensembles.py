@@ -17,6 +17,8 @@ from latsurj.ensembles import (
     sparse_bernoulli,
 )
 
+from oracles import alpha_min_brute_force
+
 U01 = Distribution.uniform([0, 1])
 
 
@@ -58,10 +60,18 @@ def test_alpha_min_examples():
 @given(distributions())
 @settings(max_examples=50, deadline=None)
 def test_alpha_min_is_global_minimum(dist):
-    a = alpha_min(dist)
-    assert 0 <= a <= 1 - dist.max_weight
-    for p in (2, 3, 5, 7, 11, 13):
-        assert alpha_mod_p(dist, p) >= a
+    assert alpha_min(dist) == alpha_min_brute_force(dist.atoms)
+
+
+def test_alpha_min_without_factoring():
+    # differences B, A*B and (A - 1)*B of two Mersenne primes: B merges all
+    # three atoms, and no trial division reaches A or B
+    a, b = 2**127 - 1, 2**89 - 1
+    assert alpha_min(Distribution.uniform([0, b, a * b])) == 0
+    # 0 and A*B merge modulo A and modulo B only, 0 and 2 modulo 2, and
+    # A*B and 2 modulo the primes of A*B - 2
+    law = Distribution(((0, Fraction(1, 2)), (a * b, Fraction(1, 3)), (2, Fraction(1, 6))))
+    assert alpha_min(law) == Fraction(1, 6)
 
 
 def test_alpha_mod_p_large_prime_equals_single_weight_bound():

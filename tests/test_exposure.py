@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from latsurj.certifier import is_surjective
 from latsurj.ensembles import Distribution, EnsembleSpec, derive_seed, sample_matrix
 from latsurj import exact_linalg, exposure, primes as primes_module
-from latsurj.cli import main
 from latsurj.exact_linalg import IntMatrix, cokernel, det
 from latsurj.modp import ColumnSpace, rank_mod_p
 from latsurj.exposure import SingularStart, batch_size, run_exposure, u_budget
-from latsurj.primes import FactorizationError, crt_primes
+from latsurj.primes import crt_primes
+
+from oracles import naive_factorization
 
 U01 = Distribution.uniform([0, 1])
 LAWS = {
@@ -70,25 +71,21 @@ def test_run_exposure_rejects_degenerate_dist():
         run_exposure(IntMatrix.identity(2), point, 1.0, seed=1)
 
 
-def test_unfactored_determinant_raises_without_smith_form(monkeypatch):
-    # a determinant that resists factoring ends the run at once: no Smith
-    # form (wherever a module binds it) may be tried in its place
-    def unfactorable(n):
-        if abs(n) > 1:
-            raise FactorizationError(f"{n} resisted the budget")
-        return set()
+def test_unfactorable_determinant_runs_without_factoring_or_smith_form(monkeypatch):
+    # det(m0) is twice a product of two Mersenne primes of 89 and 107 bits,
+    # which no trial division reaches: exposure splits it by gcds only, and
+    # neither factoring nor a Smith form (wherever a module binds it) may
+    # stand in
+    def forbidden(*args):
+        raise AssertionError("factoring or Smith form called")
 
-    def smith_form(m):
-        raise AssertionError("Smith form called")
-
-    monkeypatch.setattr(primes_module, "prime_divisors", unfactorable)
-    for module in (exact_linalg, exposure):
-        for name in ("smith_diagonal", "smith_normal_form"):
-            monkeypatch.setattr(module, name, smith_form, raising=False)
-    m0 = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 2]])  # det 13
-    with pytest.raises(FactorizationError):
-        run_exposure(m0, U01, 1.0, seed=1)
-    assert main(["experiment", "exposure", "--n", "8", "--trials", "4", "--seed", "3"]) == 2
+    for module in (primes_module, exact_linalg, exposure):
+        for name in ("factorize", "smith_diagonal", "smith_normal_form"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    m0 = planted_start(6, PLANTED_STARTS["mersenne"], 0)
+    trace = run_exposure(m0, U01, 1.0, seed=1)
+    assert trace.achieved and abs(det(m0)) == 2 * (2**89 - 1) * (2**107 - 1)
+    assert math.prod(trace.primes) == abs(det(m0))
 
 
 def test_exposure_determinism():
@@ -126,10 +123,10 @@ def test_exposure_trace_invariants_randomized():
         trace_invariants(trace, n, alpha, 1.5)
         if trace.achieved:
             assert is_surjective(trace.final_matrix).is_surjective
-            # final matrix is full rank mod every tracked prime
+            # final matrix is full rank mod every prime of every tracked modulus
             structure = cokernel(trace.final_matrix)
-            for p in trace.primes:
-                assert structure.free_rank == 0 and all(d % p for d in structure.invariant_factors)
+            for q in trace.primes:
+                assert structure.free_rank == 0 and all(math.gcd(d, q) == 1 for d in structure.invariant_factors)
 
 
 def test_batch_success_frequency_bound():
@@ -175,9 +172,10 @@ def test_csv_row_shape():
 
 
 def planted_start(n, diagonal, seed):
-    """U diag(d) V for unimodular U and V with small entries, d the given
-    diagonal padded with ones: det is the product of the diagonal, and the
-    corank mod p is the number of its entries divisible by p."""
+    """U diag(d) V for unimodular U and V with small entries, d the products
+    of the given prime tuples padded with ones: det is the product of the
+    diagonal, and the corank mod p is the number of its entries divisible
+    by p."""
     rng = np.random.default_rng(seed)
 
     def unimodular():
@@ -185,16 +183,20 @@ def planted_start(n, diagonal, seed):
         upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
         return (lower @ upper)[rng.permutation(n)].astype(object)
 
-    d = np.diag(np.array(list(diagonal) + [1] * (n - len(diagonal)), dtype=object))
+    entries = [math.prod(primes) for primes in diagonal] + [1] * (n - len(diagonal))
+    d = np.diag(np.array(entries, dtype=object))
     return IntMatrix.from_array(unimodular() @ d @ unimodular())
 
 
-# planted diagonals: corank 2 mod 3 and mod 5 (p^2 | det), primes past
-# 2^31, and the first CRT prime, which leaves the adjugate rows unknown
+# planted diagonals, each entry given by its primes: corank 2 mod 3 and
+# mod 5 (p^2 | det), primes past 2^31, a product of two Mersenne primes
+# that no trial division reaches, and the first CRT prime, which leaves
+# the adjugate rows unknown
 PLANTED_STARTS = {
-    "corank2": (3, 3 * 5, 5),
-    "large_prime": (2**31 + 11, 2**61 - 1),
-    "crt_prime": (crt_primes(1)[0], 2),
+    "corank2": ((3,), (3, 5), (5,)),
+    "large_prime": ((2**31 + 11,), (2**61 - 1,)),
+    "mersenne": ((2**89 - 1, 2**107 - 1), (2,)),
+    "crt_prime": ((crt_primes(1)[0],), (2,)),
 }
 
 
@@ -206,15 +208,21 @@ PLANTED_STARTS = {
 )
 @settings(max_examples=80, deadline=None)
 def test_trajectories_match_prefix_ranks(n, law, seed, start):
-    """trajectory[p][i] is n minus the rank mod p of the columns of the
-    final matrix up to the end of batch i.  A starting span eliminates m0
-    at least at the primes of corank 2 or more, and at every prime when
-    a CRT prime divides det(m0); elsewhere it is one row of adj(m0)."""
+    """The tracked moduli are pairwise coprime and carry exactly the primes
+    of det(m0), and for every prime p of modulus q, trajectory[q][i] is n
+    minus the rank mod p of the columns of the final matrix up to the end
+    of batch i.  A starting span eliminates m0 modulo a multiple of p at
+    least at the primes p of corank 2 or more, and at every prime when a
+    CRT prime divides det(m0); elsewhere it is one row of adj(m0)."""
     dist = LAWS[law]
     if start == "sampled":
+        # entries in [-1, 1] and n <= 12 keep |det| below 12^6
         m0 = sample_matrix(EnsembleSpec("iid_rect", n, dist, derive_seed(seed, 0), m=n))
+        d = det(m0)
+        det_primes = set(naive_factorization(d)) if d else set()
     else:
         m0 = planted_start(n, PLANTED_STARTS[start], seed)
+        det_primes = {p for primes in PLANTED_STARTS[start] for p in primes}
     if det(m0) == 0:
         with pytest.raises(SingularStart):
             run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1))
@@ -229,18 +237,34 @@ def test_trajectories_match_prefix_ranks(n, law, seed, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ColumnSpace, "from_columns", staticmethod(from_columns))
         trace = run_exposure(m0, dist, 1.0, seed=derive_seed(seed, 1))
+
+    moduli = trace.primes
+    assert list(moduli) == sorted(trace.trajectories)
+    assert all(math.gcd(q, r) == 1 for i, q in enumerate(moduli) for r in moduli[:i])
+    primes_of = {q: {p for p in det_primes if q % p == 0} for q in moduli}
+    for q, primes in primes_of.items():
+        for p in primes:
+            while q % p == 0:
+                q //= p
+        assert q == 1
+    assert set().union(*primes_of.values()) == det_primes
+
     final = trace.final_matrix.array
     ends = np.cumsum((n,) + trace.batch_sizes)
-    for p, traj in trace.trajectories.items():
+    start_corank = {}
+    for q, traj in trace.trajectories.items():
         assert len(traj) == len(ends)
-        assert list(traj) == [n - rank_mod_p(final[:, :end], p) for end in ends]
-        assert traj[0] == 1 or p in eliminated
+        for p in primes_of[q]:
+            assert list(traj) == [n - rank_mod_p(final[:, :end], p) for end in ends]
+            start_corank[p] = traj[0]
+    eliminated_primes = {p for p in det_primes if any(q % p == 0 for q in eliminated)}
+    assert {p for p, c in start_corank.items() if c >= 2} <= eliminated_primes
     if det(m0) % crt_primes(1)[0] == 0:
-        assert eliminated == list(trace.primes)
+        assert eliminated_primes == det_primes
     elif n <= 4:  # the adjugate rows are all of adj(m0)
-        assert eliminated == [p for p in trace.primes if trace.trajectories[p][0] >= 2]
+        assert eliminated_primes == {p for p, c in start_corank.items() if c >= 2}
     if start == "corank2":
-        assert trace.trajectories[3][0] == trace.trajectories[5][0] == 2
+        assert start_corank[3] == start_corank[5] == 2
 
 
 @given(st.integers(1, 8), st.integers(1, 12), st.sampled_from(EDGE_PRIMES + (5,)), st.integers(0, 2**32))

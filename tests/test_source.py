@@ -43,11 +43,20 @@ def test_certifier_calls_no_factoring_primality_or_smith_form():
 
 
 def test_exposure_calls_no_smith_form():
-    # a determinant that resists factoring raises; no Smith form may stand
-    # in for it, since its cost is unbounded and it factors the same cofactor
+    # exposure splits det(m0) by gcds and never factors it; a Smith form
+    # would stand in for the factoring, at a cost with no bound
     called = _called_names("exposure.py")
     assert "cokernel" not in called
     assert not [name for name in called if name and name.startswith("smith_")]
+
+
+def test_exposure_and_alpha_min_call_no_factoring():
+    # both split their moduli by gcds (modp.parts); factoring is only for
+    # field orders, and a Smith form would factor by another name
+    for module in ("exposure.py", "ensembles.py"):
+        called = _called_names(module)
+        assert not called & {"factorize", "prime_divisors", "cokernel"}, module
+        assert not [name for name in called if name and name.startswith("smith_")], module
 
 
 def test_decider_takes_no_minors_one_at_a_time():
