@@ -113,7 +113,11 @@ def parse_matrix(text: str) -> IntMatrix:
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    return IntMatrix(rows, cols, int_array([int(t) for t in body]))
+    try:
+        entries = np.array(body, dtype=np.int64)
+    except (ValueError, OverflowError):  # past int64, or not an int: int() decides
+        entries = int_array([int(t) for t in body])
+    return IntMatrix(rows, cols, entries)
 
 
 # -- determinants ------------------------------------------------------
@@ -190,7 +194,7 @@ def crt_solve(blocks: Sequence, first_row: int = 0) -> List[Tuple[int, np.ndarra
     out = []
     for ps in plans:
         d, x = zip(*[next(solved) for _ in ps])
-        out.append((_lift(ps, d), _lift(ps, [r.astype(object) for r in x]) if all(d) else None))
+        out.append((_lift(ps, d), _lift(ps, x) if all(d) else None))
     return out
 
 
@@ -201,11 +205,18 @@ def dets_mod_crt(arrays: Sequence) -> List[int]:
 
 def _lift(primes: Sequence[int], residues):
     """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t];
-    residues may also be object arrays, lifted entrywise."""
-    x, modulus = 0, 1
-    for p, r in zip(primes, residues):
-        x = x + modulus * ((r - x) * pow(modulus, -1, p) % p)
-        modulus *= p
+    residues may also be arrays in [0, primes[t]), lifted entrywise.  The
+    Garner digits v_t of x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) are found in
+    the residues' type (int64 for primes below 2^31), joined in Python ints."""
+    digits = []
+    for t, (p, r) in enumerate(zip(primes, residues)):
+        s = 0  # the digits so far mod p, by Horner's rule
+        for q, v in zip(reversed(primes[:t]), reversed(digits)):
+            s = (s * q + v) % p
+        digits.append((r - s) * pow(math.prod(primes[:t]) % p, -1, p) % p)
+    x, modulus = 0, math.prod(primes)
+    for p, v in zip(primes[::-1], digits[::-1]):
+        x = x * p + (v.astype(object) if isinstance(v, np.ndarray) else v)
     return (x + modulus // 2) % modulus - modulus // 2
 
 

@@ -12,13 +12,13 @@ is a zero divisor raises :class:`NonUnitPivot` with a proper divisor of
 the modulus.  :func:`parts` then splits the modulus by gcds and settles
 each part on its own (dynamic evaluation, the D5 principle of Della
 Dora, Dicrescenzo and Duval), so that no caller factors an integer.
-Determinants mod p come from one stacked kernel, :func:`det_solve`,
-which eliminates a (k, n, n + s) stack [A | B] with its own prime per
-slice and also gives det A * A^-1 B; the exact solve built on it is
-:func:`latsurj.exact_linalg.crt_solve`.  Both kernels reduce the
-trailing block only every few columns.  Stacks of matrices mod 2
-have their own bit-packed kernel (:func:`gf2_ranks`), and
-:class:`ColumnSpace` holds a growing span over Z/N as its annihilator.
+Determinants mod p come from one stacked kernel, :func:`det_solve`: it
+eliminates a (k, n, n + s) stack [A | B], one prime per slice, in steps
+of one column or two (a 2 x 2 pivot block), and back-substitutes over
+the same groups of rows for det A * A^-1 B, the exact solve
+:func:`latsurj.exact_linalg.crt_solve` lifts.  Both kernels count the
+products a trailing block takes unreduced.  Stacks mod 2 have their own
+kernel (:func:`gf2_ranks`); :class:`ColumnSpace` is a span over Z/N.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ def _residues(a, p, dtype) -> np.ndarray:
     """A fresh array of the entries of a reduced to [0, p), as int64 or
     object; p is one modulus or an array of them that broadcasts against a."""
     a = int_array(a)
+    if a.dtype != object and a.size and a.min() >= 0 and int(a.max()) < int(np.min(p)):
+        return a.astype(dtype)  # already reduced
     if dtype == object and a.dtype != object:
         a = a.astype(object)  # Python ints: no wraparound, no overflow
     return np.mod(a, p).astype(dtype, copy=False)
@@ -130,12 +132,12 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
     pivot is a unit, so the same holds modulo each prime factor of p; the
     first nonzero pivot candidate that is not a unit raises NonUnitPivot.
     The caller's array is never modified.  As in :func:`det_solve`, the
-    block is reduced every _lazy_columns(p) updates and the pivot column
+    block is reduced every _lazy_products(p) updates and the pivot column
     and row when read.
     """
     e = _residues(a, p, np.int64 if p < _WORD_LIMIT else object)
     rows, cols = e.shape
-    lazy = _lazy_columns(p)
+    lazy = _lazy_products(p)
     pivots: List[int] = []
     for c in range(cols):
         r = len(pivots)  # also the updates so far, of which r % lazy are unreduced
@@ -167,13 +169,13 @@ def echelon(a, p: int) -> Tuple[np.ndarray, List[int]]:
     return e, pivots
 
 
-def _lazy_columns(p: int) -> int:
-    """Columns of updates a trailing block mod p takes unreduced.
+def _lazy_products(p: int) -> int:
+    """Products of two residues that an entry of a trailing block mod p takes unreduced.
 
-    A reduced entry lies in [0, p) and each column subtracts one product
-    of two residues, at most (p - 1)^2, so L int64 columns stay above -2^63
-    while L * (p - 1)^2 <= 2^63 - 1 - p: 8 for the CRT primes below 2^30.
-    Python ints (p >= 2^31) only grow a few bits in 8 columns.
+    A reduced entry lies in [0, p) and each product subtracted is at most
+    (p - 1)^2, so L int64 products stay above -2^63 while
+    L * (p - 1)^2 <= 2^63 - 1 - p: 8 for the CRT primes below 2^30 and 2
+    just below 2^31.  Python ints (p >= 2^31) only grow a few bits in 8.
     """
     return (2**63 - 1 - p) // (p - 1) ** 2 if p < _WORD_LIMIT else 8
 
@@ -181,16 +183,18 @@ def _lazy_columns(p: int) -> int:
 def det_solve(stack, primes: Sequence[int], first_row: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """(det A, rows first_row.. of det A * A^-1 B) mod primes[t] for each slice [A | B] of a (k, n, n + s) stack.
 
-    All slices share one loop over columns.  In each column every slice
-    takes its first row with a nonzero residue as pivot (row 0 needs no
-    search when it is nonzero in every slice), and only the pivot column
-    and the pivot row are reduced mod p.  The trailing block, B included,
-    gets plain multiply-subtract and is reduced every L columns, with L
-    from the largest prime (:func:`_lazy_columns`); with s > 0 the pivot
-    rows from first_row on are kept, divided by their pivots after the
-    loop, for one back-substitution that stops at row first_row, reduced
-    alike.  A slice with det 0 mod p solves to 0.  Slices are int64 while
-    every prime is below 2^31, Python ints reduced every column beyond.
+    All slices share one loop of steps over two columns, or one.  A step
+    pivots on the leading 2 x 2 block when it is invertible in every slice
+    and does not straddle row first_row; otherwise each slice pivots on
+    its first row with a nonzero residue in the column.  The pivot rows,
+    times the inverse of their block, clear the rows below with one
+    rank-1 update per column.  The trailing block, B included, is reduced
+    mod p only before its count of unreduced products would pass L, from
+    the largest prime (:func:`_lazy_products`).  With s > 0 the pivot rows
+    from first_row on are kept for one back-substitution over the same
+    groups of rows, counted alike, that stops at row first_row.  A slice
+    with det 0 mod p solves to 0.  Slices are int64 while every prime is
+    below 2^31, Python ints beyond.
     """
     primes = [operator.index(p) for p in primes]
     top = max(primes, default=2)
@@ -202,60 +206,73 @@ def det_solve(stack, primes: Sequence[int], first_row: int = 0) -> Tuple[np.ndar
     if not 0 <= first_row <= a.shape[1]:
         raise ValueError("first_row must lie in [0, n]")
     q = np.array(primes, dtype=np.int64 if word else object)
-    qs, qc = q[:, None, None], q[:, None]
-    # e is the trailing block: each column step drops its first row and column
+    qs = q[:, None, None]
+    # e is the trailing block: each step drops its first rows and columns
     e = _residues(a, qs, q.dtype)
     k, n, width = e.shape
-    lazy = _lazy_columns(top) if word else 1
+    lazy = _lazy_products(top)
     slices = np.arange(k)
     det = [1] * k
-    # u[:, c - first_row] is the pivot row of column c and inverses[:, c - first_row]
-    # the inverse of its pivot, for c >= first_row when s > 0
+    # u[:, r - first_row] is pivot row r, times the inverse of its pivot
+    # block, for r >= first_row when s > 0; groups holds the steps' rows
     solve = width > n
     u = np.zeros((k, n - first_row, width if solve else 0), dtype=e.dtype)
-    inverses = np.zeros((k, n - first_row), dtype=e.dtype)
-    for c in range(n):
-        col = e[:, :, 0] % qc
-        pivot, row = col[:, 0], e[:, 0, 1:]
-        if not pivot.all():
-            i = (col != 0).argmax(axis=1)
-            pivot = col[slices, i]
-            if i.any():
-                # the pivot row leaves the block and row 0 takes its place
-                for t in np.flatnonzero(i).tolist():
-                    det[t] = -det[t]
-                row = e[slices, i, 1:]
-                e[slices, i, 1:] = e[:, 0, 1:]
-                col[slices, i] = col[:, 0]
-        # a slice with no pivot gets det 0 and eliminates with factor 0
+    groups: List[Tuple[int, int]] = []
+    c = count = 0
+    while c < n:
+        head = e[:, :, :2] % qs
+        blocks = head[:, :2].tolist() if c + 2 <= n and c + 1 != first_row else ()
+        minors = [(w * z - x * y) % p for ((w, x), (y, z)), p in zip(blocks, primes)]
+        step = 2 if minors and all(minors) else 1
         inverse = []
-        for t, (v, p) in enumerate(zip(pivot.tolist(), primes)):
-            det[t] = det[t] * v % p
-            inverse.append(pow(v, -1, p) if v else 0)
-        if c == n - 1 and width == n:
+        if step == 2:
+            for t, (((w, x), (y, z)), v, p) in enumerate(zip(blocks, minors, primes)):
+                det[t] = det[t] * v % p
+                v = pow(v, -1, p)
+                inverse += (z * v % p, -x * v % p, -y * v % p, w * v % p)
+            rows = e[:, :2, 2:]
+        else:
+            col = head[:, :, 0]
+            pivot, rows = col[:, 0], e[:, :1, 1:]
+            if not pivot.all():
+                i = (col != 0).argmax(axis=1)
+                pivot = col[slices, i]
+                if i.any():
+                    # the pivot row leaves the block and row 0 takes its place
+                    for t in np.flatnonzero(i).tolist():
+                        det[t] = -det[t]
+                    rows = e[slices, i, 1:][:, None]
+                    e[slices, i, 1:] = e[:, 0, 1:]
+                    col[slices, i] = col[:, 0]
+            # a slice with no pivot gets det 0 and eliminates with factor 0
+            for t, (v, p) in enumerate(zip(pivot.tolist(), primes)):
+                det[t] = det[t] * v % p
+                inverse.append(pow(v, -1, p) if v else 0)
+        if c + step == width:
             break
-        inverse = np.array(inverse, dtype=e.dtype)
-        row = row % qc
+        # the pivot rows times the inverse of the pivot block
+        rows = np.array(inverse, dtype=e.dtype).reshape(k, step, step) @ (rows % qs) % qs
         if solve and c >= first_row:
-            u[:, c - first_row, c + 1 :] = row
-            inverses[:, c - first_row] = inverse
-        factors = col[:, 1:] * inverse[:, None] % qc
-        e = e[:, 1:, 1:]
-        e -= factors[:, :, None] * row[:, None, :]
-        if (c + 1) % lazy == 0:
-            e = e % qs
+            u[:, c - first_row : c - first_row + step, c + step :] = rows
+            groups.append((c, step))
+        e = e[:, step:, step:]
+        if count + step > lazy:
+            e, count = e % qs, 0
+        for j in range(step):
+            e -= head[:, step:, j, None] * rows[:, j, None, :]
+        count += step
+        c += step
     det = np.array(det, dtype=e.dtype)
-    if solve:
-        u = u * inverses[:, :, None] % qs
-    # x[:, c - first_row] starts as the right-hand part of u[:, c - first_row]
-    # and loses the rest of row c times x
-    x = u[:, :, n:]
-    for c in range(n - 1, first_row - 1, -1) if solve else ():
+    # x[:, r - first_row] starts as the right-hand part of u[:, r - first_row]
+    # and loses the rest of row r times x, a group of rows at a time
+    x, count = u[:, :, n:], 0
+    for c, step in reversed(groups):
         t = c - first_row
-        x[:, t] %= qc
-        x[:, :t] -= u[:, :t, c, None] * x[:, t, None, :]
-        if (n - c) % lazy == 0:
-            x[:, :t] %= qs
+        x[:, t : t + step] %= qs
+        if count + step > lazy:
+            x[:, :t], count = x[:, :t] % qs, 0
+        x[:, :t] -= u[:, :t, c : c + step] @ x[:, t : t + step]
+        count += step
     return det, x * det[:, None, None] % qs
 
 

@@ -128,12 +128,23 @@ def trivial_cokernel_all_primes(u: int) -> Prediction:
     return Prediction(value, bound, terms)
 
 
+def _exact_roots(q: int):
+    """The integers r with r^k = q for some k in 1..q.bit_length(), q >= 2, by
+    Newton's iteration from above, which ends at the floor of the root."""
+    for k in range(1, q.bit_length() + 1):
+        r = 1 << -(-q.bit_length() // k)
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == q:
+            yield r
+
+
 @functools.lru_cache
 def corank_prediction(q: int, k: int) -> Prediction:
     """Limiting P(corank = k) over F_q for a square balanced matrix:
     q^(-k^2) * prod_{i=1..k} (1-q^-i)^(-1) * prod_{i>k} (1-q^-i).
     """
-    if q < 2:
+    if q < 2 or not any(_primes.is_probable_prime(r) for r in _exact_roots(q)):
         raise ValueError("q must be a prime power >= 2")
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -40,6 +40,17 @@ def det_permutation_expansion(m: IntMatrix) -> int:
     return total
 
 
+def crt_incremental(primes: Sequence[int], residues):
+    """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t],
+    one prime at a time in Python ints: x += M * ((r - x) / M mod p), M *= p.
+    residues may be Python ints or object arrays, lifted entrywise."""
+    x, modulus = 0, 1
+    for p, r in zip(primes, residues):
+        x = x + modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return (x + modulus // 2) % modulus - modulus // 2
+
+
 def naive_factorization(n: int) -> Dict[int, int]:
     """{prime: exponent} of |n| by trial division by every integer up to sqrt(|n|)."""
     n, out, d = abs(n), Counter(), 2

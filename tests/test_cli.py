@@ -196,6 +196,13 @@ def test_unknown_experiment_mode_exit_2(argv):
     assert out == ""
 
 
+def test_predict_corank_rejects_non_prime_power_exit_2():
+    code, out, err = run_cli(["predict", "corank", "--q", "6", "--k", "0"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: q must be a prime power >= 2"
+    assert run_cli(["predict", "corank", "--q", "9", "--k", "0"])[0] == 0
+
+
 def test_prime_set_outside_p_restricted_exit_2():
     # all_primes runs the certifier, so a prime set would be recorded but ignored
     argv = ["experiment", "trivial", "--n", "6", "--u", "1", "--trials", "20", "--primes", "2", "--mode", "all_primes"]

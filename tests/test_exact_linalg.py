@@ -20,10 +20,10 @@ from latsurj.exact_linalg import (
     parse_matrix,
     smith_normal_form,
 )
-from latsurj.modp import det_solve, rank_mod_p
+from latsurj.modp import det_solve, int_array, rank_mod_p
 from latsurj.primes import crt_primes
 
-from oracles import det_permutation_expansion, fraction_free
+from oracles import crt_incremental, det_permutation_expansion, fraction_free
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -99,6 +99,70 @@ def test_text_format_round_trip():
 def test_parse_matrix_rejects_bad_counts():
     with pytest.raises(ValueError):
         parse_matrix("2 2\n1 2 3\n")
+
+
+def _parse_per_token(text):
+    """parse_matrix with one int() per token and no int64 fast path."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("matrix text must start with 'rows cols'")
+    rows, cols = int(tokens[0]), int(tokens[1])
+    if len(tokens) - 2 != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(tokens) - 2}")
+    return IntMatrix(rows, cols, int_array([int(t) for t in tokens[2:]]))
+
+
+def _parsed(parse, text):
+    try:
+        m = parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return m.array.dtype, m.array.tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"1 2\n{t} 7\n" for t in ("+5", "1_0", "\u0663", "\uff11", str(2**63 - 1), str(-(2**63 - 1)),
+                                str(-(2**63)), str(2**63), str(-(2**63) - 1), "1.0", "0x10")]
+    + ["2 2\n1 2 3\n", "1 1\n1 2\n", "0 0\n", "0 0\n5\n", "3\n", "2 1\n-0\n 9 \n"],
+)
+def test_parse_matrix_matches_per_token_parse(text):
+    # the int64 fast path gives the same entries, dtype and error text
+    assert _parsed(parse_matrix, text) == _parsed(_parse_per_token, text)
+
+
+def test_parse_matrix_fast_path_cases():
+    assert parse_matrix("1 2\n\u0663 \uff11\n").array.tolist() == [[3, 1]]
+    assert parse_matrix(f"1 2\n{2**63} 0\n").array.dtype == object
+    assert parse_matrix(f"1 2\n{-(2**63)} 0\n").array.dtype == np.int64
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        parse_matrix("1 2\n0x10 1\n")
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        parse_matrix("0 0\n")
+
+
+def test_lift_matches_incremental_crt():
+    rng = random.Random(3)
+    for count in range(1, 7):
+        primes = crt_primes(count)
+        modulus = math.prod(primes)
+        # the ends of [-M/2, M/2] and random values between
+        values = [0, 1, -1, modulus // 2, -(modulus // 2), modulus // 2 - 1, -(modulus // 2) + 1]
+        values += [rng.randrange(-(modulus // 2), modulus // 2 + 1) for _ in range(20)]
+        for v in values:
+            residues = [v % p for p in primes]
+            assert exact_linalg._lift(primes, residues) == crt_incremental(primes, residues) == v
+        # int64 arrays, lifted entrywise into Python ints
+        arrays = [np.array([[v % p for v in values[i : i + 3]] for i in range(0, 27, 3)]) for p in primes]
+        lifted = exact_linalg._lift(primes, arrays)
+        assert lifted.dtype == object and lifted.tolist() == [values[i : i + 3] for i in range(0, 27, 3)]
+        assert lifted.tolist() == crt_incremental(primes, [a.astype(object) for a in arrays]).tolist()
+    # object residues on primes past 2^31
+    primes = [2**31 + 11, 2**61 - 1, 2**89 - 1]
+    modulus = math.prod(primes)
+    values = [modulus // 2, -(modulus // 2), 0, -1] + [rng.randrange(-(modulus // 2), modulus // 2) for _ in range(8)]
+    arrays = [np.array([v % p for v in values], dtype=object) for p in primes]
+    assert exact_linalg._lift(primes, arrays).tolist() == crt_incremental(primes, arrays).tolist() == values
 
 
 # -- determinants -------------------------------------------------------

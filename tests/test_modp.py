@@ -305,63 +305,148 @@ def test_det_solve_first_row_matches_full_solve(slices, s, seed):
             det_solve(stack, primes, first_row)
 
 
-def _worst_case_growth(n):
-    """An n x n matrix of det 1 whose elimination mod any p pivots on 1 in
-    every column and multiplies residues p - 1 by p - 1 in every update.
+def _block_lower(sizes):
+    """Unit lower triangular, with -1 below its diagonal blocks of the given
+    sizes and 0 inside them."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    return np.where(group[:, None] > group[None, :], -1, 0) + np.eye(len(group), dtype=np.int64)
 
-    It is L U with L unit lower triangular holding -1 below the diagonal and
-    U unit upper triangular holding -1 above it: each Schur complement again
-    has 1 on its diagonal corner and -1 elsewhere in its first row and column.
+
+def _worst_case_growth(sizes):
+    """A matrix of det 1 whose elimination mod any p, in steps of the given
+    sizes, pivots on identity blocks and subtracts a product (p - 1) (p - 1)
+    from every later entry per column of each step.
+
+    It is L L^T for L = _block_lower(sizes): each Schur complement again
+    has I as its leading block and -1 elsewhere in its first rows and columns.
     """
-    lower = np.tril(-np.ones((n, n), dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    lower = _block_lower(sizes)
     return lower @ lower.T
 
 
 def test_dets_lazy_reduction_worst_case(monkeypatch):
     p = CRT[0]
-    lazy = modp._lazy_columns(p)
+    lazy = modp._lazy_products(p)
     assert lazy == 8
-    a = _worst_case_growth(lazy + 4)  # more than L + 1 columns of updates
-    assert fraction_free(a.tolist())[1] == 1
-    residues = a % p
-    assert (residues[0, 1:] == p - 1).all() and (residues[1:, 0] == p - 1).all()
-    assert det_solve(np.stack([a, a]), [p, CRT[1]])[0].tolist() == [1, 1]
-    # one more column between reductions passes 2^63 and wraps
-    monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
-    assert det_solve(a[None], [p])[0].tolist() != [1]
+    # six steps of two columns: rows 8 to 11 take 4 * 2 = L products before
+    # the fifth step reduces them
+    even = _worst_case_growth([2] * 6)
+    assert fraction_free(even.tolist())[1] == 1
+    residues = even % p
+    assert (residues[:2, :2] == np.eye(2)).all()
+    assert (residues[:2, 2:] == p - 1).all() and (residues[2:, :2] == p - 1).all()
+    assert det_solve(np.stack([even, even]), [p, CRT[1]])[0].tolist() == [1, 1]
+    # the second slice, I with rows 1 and 2 swapped, has a singular leading
+    # block, so the first step takes one column: rows 9 to 11 then take
+    # 1 + 4 * 2 = L + 1 products, which reduction before L prevents
+    odd = _worst_case_growth([1] + [2] * 5 + [1])
+    swap = np.eye(12, dtype=np.int64)[[0, 2, 1] + list(range(3, 12))]
+    assert fraction_free(odd.tolist())[1] == 1
+    assert det_solve(np.stack([odd, swap]), [p, CRT[1]])[0].tolist() == [1, CRT[1] - 1]
+    # one more product between reductions passes 2^63 and wraps
+    monkeypatch.setattr(modp, "_lazy_products", lambda q: lazy + 1)
+    assert det_solve(np.stack([odd, swap]), [p, CRT[1]])[0].tolist()[0] != 1
 
 
 def test_det_solve_lazy_reduction_worst_case(monkeypatch):
-    # A = U, unit upper triangular with -1 above the diagonal, has no
-    # elimination to do; B = U (-1, ..., -1)^T makes every unknown p - 1,
-    # so each back-substitution step subtracts (p - 1)^2 from every sum
+    # A = L^T for L = _block_lower(sizes) has no elimination to do;
+    # B = A (-1, ..., -1)^T makes every unknown p - 1, so each
+    # back-substitution step of two rows subtracts two products (p - 1)^2
+    # from every sum above it
     p = CRT[0]
-    lazy = modp._lazy_columns(p)
-    n = lazy + 4  # more than L + 1 rows of updates
-    upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
-    a = np.hstack([upper, -upper.sum(axis=1, keepdims=True)])
-    assert det_solve(np.stack([a, a]), [p, CRT[1]])[1].tolist() == [[[p - 1]] * n, [[CRT[1] - 1]] * n]
-    # rows from 2 on alone: row 2 still takes n - 3 > L updates
-    assert det_solve(np.stack([a, a]), [p, CRT[1]], 2)[1].tolist() == [[[p - 1]] * (n - 2), [[CRT[1] - 1]] * (n - 2)]
-    # one more row between reductions passes 2^63 and wraps
-    monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
-    assert det_solve(a[None], [p])[1].tolist() != [[[p - 1]] * n]
-    assert det_solve(a[None], [p], 2)[1].tolist() != [[[p - 1]] * (n - 2)]
+    lazy = modp._lazy_products(p)
+    systems = []
+    for sizes in ([2] * 6, [2] * 6 + [1]):
+        upper = _block_lower(sizes).T
+        systems.append(np.hstack([upper, -upper.sum(axis=1, keepdims=True)]))
+    for a in systems:
+        n = len(a)
+        # six steps of two rows give rows 0 to 3 more than L products, and
+        # with a last step of one row first, 1 + 4 * 2 = L + 1
+        assert det_solve(np.stack([a, a]), [p, CRT[1]])[1].tolist() == [[[p - 1]] * n, [[CRT[1] - 1]] * n]
+        # rows from 2 on alone: rows 2 and 3 still take as many
+        assert det_solve(np.stack([a, a]), [p, CRT[1]], 2)[1].tolist() == [[[p - 1]] * (n - 2), [[CRT[1] - 1]] * (n - 2)]
+    # one more product between reductions passes 2^63 and wraps
+    monkeypatch.setattr(modp, "_lazy_products", lambda q: lazy + 1)
+    a = systems[1]
+    assert det_solve(a[None], [p])[1].tolist() != [[[p - 1]] * 13]
+    assert det_solve(a[None], [p], 2)[1].tolist() != [[[p - 1]] * 11]
 
 
 @pytest.mark.parametrize("p", [CRT[0], 2**31 - 1, 65537])
 def test_echelon_lazy_reduction_worst_case(monkeypatch, p):
-    lazy = modp._lazy_columns(p)
+    lazy = modp._lazy_products(p)
     n = min(lazy + 4, 40)  # more than L + 1 columns of updates
-    a = _worst_case_growth(n)
+    a = _worst_case_growth([1] * n)
     upper = np.triu(-np.ones((n, n), dtype=np.int64), 1) + np.eye(n, dtype=np.int64)
     e, pivots = echelon(a, p)
     assert pivots == list(range(n))
     assert e.tolist() == (upper % p).tolist()
     if lazy + 1 < n:
         # one more update between reductions passes 2^63 and wraps
-        monkeypatch.setattr(modp, "_lazy_columns", lambda q: lazy + 1)
+        monkeypatch.setattr(modp, "_lazy_products", lambda q: lazy + 1)
         assert echelon(a, p)[0].tolist() != (upper % p).tolist()
+
+
+def _oracle_solve(stack, primes, first_row):
+    """det_solve's answer from the fraction-free oracle: det A mod p and rows
+    first_row.. of adj(A) B mod p, zeros when p divides det A."""
+    dets, rows = [], []
+    for block, p in zip(stack.tolist(), primes):
+        n, s = len(block), len(block[0]) - len(block)
+        _, d, adj_b = fraction_free([r[:n] for r in block], [r[n:] for r in block])
+        dets.append(d % p)
+        rows.append((adj_b % p).tolist()[first_row:] if d % p else [[0] * s] * (n - first_row))
+    return dets, rows
+
+
+def _leading_minor(block):
+    return int(block[0][0]) * int(block[1][1]) - int(block[0][1]) * int(block[1][0])
+
+
+def _one_slice_singular(rng):
+    # the same 7 x 9 block whose leading minor is CRT[0] mod CRT[0] and
+    # CRT[1], and one whose leading minor is 0 beside one where it is 1
+    a = rng.integers(-5, 6, size=(7, 9))
+    a[:2, :2] = [[CRT[0], 3], [0, 1]]
+    b = rng.integers(0, 2, size=(7, 9))
+    b[:2, :2] = [[1, 1], [1, 1]]
+    c = rng.integers(0, 2, size=(7, 9))
+    c[:2, :2] = [[1, 1], [0, 1]]
+    return np.stack([a, a, b, c]), [CRT[0], CRT[1], CRT[2], CRT[2]]
+
+
+def _odd_first_rows(rng):
+    # every first_row of 0..9 is tried, so a block would straddle rows 1, 3, 5, 7 and 9
+    return rng.integers(-3, 4, size=(3, 9, 11)), list(CRT[:3])
+
+
+def _big_primes(rng):
+    a = rng.integers(-(2**40), 2**40, size=(3, 8, 10))
+    return a, [2**31 + 11, 2**61 - 1, 2**31 - 1]
+
+
+def _zero_rows(rng):
+    # row 0 zero, all zero, and nonsingular beside them
+    a = rng.integers(0, 3, size=(3, 6, 8))
+    a[0, 0] = 0
+    a[1] = 0
+    return a, list(CRT[:3])
+
+
+@pytest.mark.parametrize("build", [_one_slice_singular, _odd_first_rows, _big_primes, _zero_rows])
+def test_det_solve_block_steps_match_oracle(build):
+    stack, primes = build(np.random.default_rng(11))
+    minors = [_leading_minor(block) % p for block, p in zip(stack, primes)]
+    if build is _one_slice_singular:
+        assert minors[0] == minors[2] == 0 and minors[1] and minors[3]
+    if build is _big_primes:
+        assert all(minors)
+    for first_row in range(stack.shape[1] + 1):
+        d, x = det_solve(stack, primes, first_row)
+        assert x.dtype == (object if build is _big_primes else np.int64)
+        assert (d.tolist(), x.tolist()) == _oracle_solve(stack, primes, first_row)
+        assert det_solve(stack[:, :, : stack.shape[1]], primes, first_row)[0].tolist() == d.tolist()
 
 
 def test_dets_shapes():

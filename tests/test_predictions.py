@@ -53,6 +53,17 @@ def test_corank_distribution_sums_to_one(q):
     assert abs(total - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("q", [-4, 0, 1, 6, 10, 12, 36, 100, 2**61 + 1, (2**31 - 1) * (2**61 - 1)])
+def test_corank_prediction_rejects_orders_that_are_not_prime_powers(q):
+    with pytest.raises(ValueError, match="q must be a prime power >= 2"):
+        corank_prediction(q, 0)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 27, 3**20, 4096, 2**61 - 1, (2**61 - 1) ** 2])
+def test_corank_prediction_accepts_prime_powers(q):
+    assert 0 < corank_prediction(q, 0).value <= 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_corank_prediction_decreasing_from_one(q):
     values = [corank_prediction(q, k).value for k in range(1, 8)]
