@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ensembles import Distribution, _generator, alpha_min, sample_columns
+from .ensembles import Distribution, alpha_min, check_position, sample_columns
 from .exact_linalg import IntMatrix, adjugate_rows
 from .modp import ColumnSpace, NonUnitPivot, parts
 
@@ -67,7 +67,8 @@ class ExposureTrace:
     trajectories are indexed per batch and hold modulo every prime of
     their modulus q: trajectory[q][0] is the initial corank and
     trajectory[q][i] the corank after batch i.  batch_d_prev[i] is the
-    minimum positive corank that sized batch i+1.
+    minimum positive corank that sized batch i+1.  Batch i drew its
+    columns from stream 1 + i of (seed, trial, attempt).
     """
 
     primes: Tuple[int, ...]
@@ -78,6 +79,8 @@ class ExposureTrace:
     achieved: bool
     cap: int
     seed: int
+    trial: int
+    attempt: int
     alpha: Fraction
     b: float
     final_matrix: IntMatrix
@@ -122,17 +125,21 @@ def run_exposure(
     b: float,
     seed: int,
     alpha: Optional[Fraction] = None,
+    trial: int = 0,
+    attempt: int = 0,
 ) -> ExposureTrace:
     """Simulate the exposure process from square m0.
 
     The tracked moduli are the parts of |det(m0)|, split by gcds only.
-    Each batch samples k fresh columns from dist; the same physical
-    columns extend every part's column space that still has positive
-    corank, and a part whose extension meets a zero divisor is replaced
-    by its own parts, each extending the old annihilator taken modulo
-    itself.  The run stops when all coranks hit zero or the next batch
-    would exceed the hard cap of CAP_FACTOR * u_budget extra columns.
+    Batch i samples k fresh columns from dist on stream 1 + i of
+    (seed, trial, attempt); the same physical columns extend every
+    part's column space that still has positive corank, and a part
+    whose extension meets a zero divisor is replaced by its own parts,
+    each extending the old annihilator taken modulo itself.  The run
+    stops when all coranks hit zero or the next batch would exceed the
+    hard cap of CAP_FACTOR * u_budget extra columns.
     """
+    check_position(seed, trial, attempt)
     if not m0.is_square:
         raise ValueError("exposure starts from a square matrix")
     n = m0.rows
@@ -147,7 +154,6 @@ def run_exposure(
     trajectories: Dict[int, List[int]] = {q: [n - space.dimension] for q, space in spaces.items()}
 
     cap = CAP_FACTOR * u_budget(n, a, b) if n >= 3 else CAP_FACTOR
-    gen = _generator(seed)
     batch_sizes: List[int] = []
     batch_d_prev: List[int] = []
     blocks: List[np.ndarray] = []
@@ -160,7 +166,7 @@ def run_exposure(
             break
         batch_d_prev.append(d_prev)
         batch_sizes.append(k)
-        block = sample_columns(dist, n, k, gen)
+        block = sample_columns(dist, n, k, seed, trial, attempt, len(blocks))
         blocks.append(block)
         for q, space in list(spaces.items()):
             if space.dimension == n:
@@ -185,6 +191,8 @@ def run_exposure(
         achieved=not any(traj[-1] for traj in trajectories.values()),
         cap=cap,
         seed=seed,
+        trial=trial,
+        attempt=attempt,
         alpha=Fraction(a),
         b=b,
         final_matrix=final,

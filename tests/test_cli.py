@@ -297,6 +297,19 @@ def test_threads_below_one_exit_2(threads):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "corank", "--n", "10", "--p", "2", "--trials", "5", "--seed", "-1"],
+        ["sample", "--n", "3", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exit_2(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and err.splitlines()[-1] == "error: seed must be a non-negative integer, got -1"
+    assert out == ""
+
+
 def test_exposure_csv_rows_per_run():
     code, out, _ = run_cli(
         [

@@ -1,10 +1,12 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latsurj import ensembles
 from latsurj.ensembles import (
     Distribution,
     EnsembleSpec,
@@ -13,6 +15,7 @@ from latsurj.ensembles import (
     derive_seed,
     parse_distribution,
     sample_array,
+    sample_columns,
     sample_matrix,
     sparse_bernoulli,
 )
@@ -169,14 +172,14 @@ def test_sampling_respects_negative_values():
 # with a binary search over the cumulative numerators for every denominator:
 # the digit table must reproduce that stream, and any change of stream shows
 SAMPLE_DIGESTS = [
-    ("iid_rect", 30, "uniform01", 11, {"m": 31}, "1d7bc69f16dfc4a6"),
-    ("iid_rect", 30, "bernoulli(1/10)", 12, {"m": 33}, "160baff1fc3b291b"),
-    ("iid_rect", 30, "uniform-1,0,1", 13, {"m": 30}, "acfe29e850d284a2"),
-    ("symmetric_plus", 25, "uniform-1,0,1", 14, {"u": 2}, "53e99045e26e8f81"),
+    ("iid_rect", 30, "uniform01", 11, {"m": 31}, "a66de04af93d72b9"),
+    ("iid_rect", 30, "bernoulli(1/10)", 12, {"m": 33}, "b517c85a81fa025e"),
+    ("iid_rect", 30, "uniform-1,0,1", 13, {"m": 30}, "82e3d70725fd02c2"),
+    ("symmetric_plus", 25, "uniform-1,0,1", 14, {"u": 2}, "b8ac32b630a07ad5"),
     # denominator 2^16 + 1, just above the table limit
-    ("iid_rect", 20, "-2:21845/65537,0:21846/65537,3:21846/65537", 15, {"m": 21}, "df617d0d203e9046"),
+    ("iid_rect", 20, "-2:21845/65537,0:21846/65537,3:21846/65537", 15, {"m": 21}, "f4d396c2cf6e605a"),
     # denominator 2^16, exactly at the table limit
-    ("iid_rect", 20, "-1:21845/65536,0:21845/65536,5:21846/65536", 16, {"m": 21}, "c1bd394691382c7d"),
+    ("iid_rect", 20, "-1:21845/65536,0:21845/65536,5:21846/65536", 16, {"m": 21}, "4fb2d16fdde9f7d6"),
 ]
 
 
@@ -195,3 +198,86 @@ def test_weight_denominator_limit():
     over = parse_distribution(f"0:1/{2**63 + 1},1:{2**63}/{2**63 + 1}")
     with pytest.raises(ValueError, match=f"denominator {2**63 + 1} .*2\\^63"):
         sample_array(EnsembleSpec("iid_rect", 4, over, 3))
+
+
+def test_support_beyond_the_array_sampler_overflows():
+    wide = Distribution.uniform([0, 2**62])
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="support does not fit the array sampler"):
+            sample_array(EnsembleSpec("iid_rect", 2, wide, 0))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        EnsembleSpec("iid_rect", 2, U01, seed)
+
+
+@pytest.mark.parametrize("name", ["trial", "attempt"])
+@pytest.mark.parametrize("value", [-1, 2.0, False])
+def test_stream_coordinates_must_be_non_negative_ints(name, value):
+    message = f"{name} must be a non-negative integer, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        EnsembleSpec("iid_rect", 2, U01, 0, **{name: value})
+    position = {"seed": 0, "trial": 0, "attempt": 0, name: value}
+    with pytest.raises(ValueError, match=message):
+        sample_columns(U01, 2, 1, batch=0, **position)
+
+
+# -- the counter-based stream ---------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 255, 256, 257, 65535])
+def test_digit_rule_is_exact_by_enumeration(d):
+    # every w-bit field once: each digit below d has the same number of
+    # accepted fields, so accepted fields give exactly uniform digits
+    w = ensembles._field_bits(d)
+    assert d <= 2**w and (w == 8 or d > 2 ** (w // 2))
+    fields = np.arange(2**w, dtype=f"u{w // 8}")
+    digits, accepted = ensembles._accept(fields, d, w)
+    if accepted is None:
+        accepted = np.ones(fields.shape, bool)
+    counts = np.bincount(digits[accepted].astype(np.int64), minlength=d)
+    assert counts.size == d and (counts == 2**w // d).all()
+
+
+def test_wide_digit_rule_rejects_only_the_top_remainder():
+    d = 3 * 2**40
+    limit = 2**64 - 2**64 % d
+    fields = np.array([0, d - 1, d, limit - 1, limit, 2**64 - 1], dtype=np.uint64)
+    digits, accepted = ensembles._accept(fields, d, 64)
+    assert accepted.tolist() == [True, True, True, True, False, False]
+    assert digits[accepted].tolist() == [0, d - 1, 0, d - 1]
+    # a power of two never rejects
+    assert ensembles._accept(fields, 2**63, 64)[1] is None
+
+
+def test_rejected_digits_are_redrawn_from_the_same_stream():
+    # d = 129 rejects 127 of every 256 byte fields
+    law = Distribution(tuple((v, Fraction(1, 129)) for v in range(129)))
+    spec = EnsembleSpec("iid_rect", 40, law, 8, m=50)
+    a = sample_array(spec)
+    assert (a == sample_array(spec)).all()
+    assert a.min() >= 0 and a.max() <= 128
+    assert not (a == sample_array(EnsembleSpec("iid_rect", 40, law, 8, m=50, trial=1))).all()
+
+
+def test_streams_of_a_seed_are_separate():
+    # the matrix stream, column batches and attempts of one trial read
+    # different counter blocks, and so different words
+    def words(stream, trial, attempt):
+        return set(ensembles._stream(5, stream, trial, attempt).random_raw(256).tolist())
+
+    matrix = ensembles.MATRIX_STREAM
+    seen = [words(matrix, 3, 0), words(matrix + 1, 3, 0), words(matrix + 2, 3, 0),
+            words(matrix, 3, 1), words(matrix, 4, 0), words(matrix + 1, 3, 1)]
+    for i, a in enumerate(seen):
+        assert len(a) == 256
+        for b in seen[i + 1 :]:
+            assert not a & b
+    # the samplers read exactly these positions
+    spec = EnsembleSpec("iid_rect", 6, U01, 5, m=6, trial=3, attempt=1)
+    columns = sample_columns(U01, 6, 6, 5, 3, 1, 0)
+    assert not (sample_array(spec) == columns).all()
+    assert (columns == sample_columns(U01, 6, 6, 5, 3, 1, 0)).all()
+    assert not (columns == sample_columns(U01, 6, 6, 5, 3, 1, 1)).all()

@@ -3,13 +3,13 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latsurj.certifier import is_surjective
 from latsurj.ensembles import (
     Distribution,
     EnsembleSpec,
-    derive_seed,
     sample_array,
     sparse_bernoulli,
 )
@@ -143,14 +143,13 @@ def test_exposure_experiment_traces_and_rows():
 
 
 def test_exposure_resampling_is_bounded():
-    # a 3 x 3 start with P(1) = 1/3 is often singular: resampled starts keep
-    # the seed of attempt a of trial i, derive_seed(master, 1000 * i + a)
+    # a 3 x 3 start with P(1) = 1/3 is often singular: a resampled start is
+    # attempt a of trial i, the Philox position (master, i, a)
     cfg = ExperimentConfig(EXPOSURE, n=3, trials=6, master_seed=4, dist=sparse_bernoulli("1/3"), b=1.0)
     attempts = []
     for i, trace in enumerate(run_experiment(cfg).artifacts["traces"]):
-        seeds = [derive_seed(4, 1000 * i + a) for a in range(1000)]
-        attempts.append([derive_seed(s, 1) for s in seeds].index(trace.seed))
-        start = sample_array(EnsembleSpec("iid_rect", 3, cfg.dist, seeds[attempts[-1]], m=3))
+        attempts.append(trace.attempt)
+        start = sample_array(EnsembleSpec("iid_rect", 3, cfg.dist, 4, m=3, trial=i, attempt=trace.attempt))
         assert rank_mod_p(start, 1_000_000_007) == 3
     assert max(attempts) > 0
     # with P(1) = 10^-6 a start is singular but for odds below 10^-16: the
@@ -158,6 +157,14 @@ def test_exposure_resampling_is_bounded():
     nearly_zero = replace(cfg, trials=2, dist=sparse_bernoulli(Fraction(1, 10**6)))
     with pytest.raises(RuntimeError, match="trial 0: all 1000"):
         run_experiment(nearly_zero)
+
+
+def test_exposure_report_lists_each_trials_attempt():
+    cfg = ExperimentConfig(EXPOSURE, n=3, trials=6, master_seed=4, dist=sparse_bernoulli("1/3"), b=1.0)
+    rep = run_experiment(cfg)
+    attempts = [trace.attempt for trace in rep.artifacts["traces"]]
+    assert rep.extra["attempts"] == attempts and max(attempts) > 0
+    assert json.loads(rep.canonical_json())["attempts"] == attempts
 
 
 def test_symmetric_experiment_rejects_asymmetric_sample(monkeypatch):
@@ -175,7 +182,7 @@ def _one_trial_at_a_time(cfg):
     m = cfg.n + (cfg.u or 0)
     counts = Counter()
     for i in range(cfg.trials):
-        a = sample_array(EnsembleSpec("iid_rect", cfg.n, cfg.dist, derive_seed(cfg.master_seed, i), m=m))
+        a = sample_array(EnsembleSpec("iid_rect", cfg.n, cfg.dist, cfg.master_seed, m=m, trial=i))
         if cfg.experiment == CORANK:
             counts[f"corank={cfg.n - rank_mod_p(a, cfg.p)}"] += 1
         elif cfg.mode == "all_primes":
@@ -209,6 +216,42 @@ def test_trial_matrices_recoverable_from_seed():
             report = run_experiment(run)
             counts = Counter({o.label: o.count for o in report.outcomes if o.count})
             assert counts == _one_trial_at_a_time(run), (run.experiment, run.p, trials)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_drawn_alone_equals_its_draw_in_a_report(monkeypatch, threads):
+    drawn = {}
+
+    def recording(spec):
+        drawn[spec.trial] = sample_array(spec)
+        return drawn[spec.trial]
+
+    monkeypatch.setattr(experiments, "sample_array", recording)
+    run_experiment(ExperimentConfig(CORANK, n=7, trials=300, master_seed=31, dist=U01, p=2, threads=threads))
+    assert sorted(drawn) == list(range(300))
+    for i in (0, 1, 150, 299):
+        assert (drawn[i] == sample_array(EnsembleSpec("iid_rect", 7, U01, 31, trial=i))).all()
+
+
+def test_report_hashes_its_seed_a_constant_number_of_times(monkeypatch):
+    # the Philox key is hashed once per master seed, not once per trial
+    made = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    report = run_experiment(ExperimentConfig(CORANK, n=10, trials=200, master_seed=2**70 + 3, dist=U01, p=2))
+    assert sum(o.count for o in report.outcomes) == 200
+    assert len(made) <= 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, False])
+def test_master_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        ExperimentConfig(CORANK, n=4, trials=2, master_seed=seed, dist=U01, p=2)
 
 
 @pytest.mark.parametrize("kind,extra", [(SYMMETRIC, dict(u=2)), (EXPOSURE, dict(b=1.0))])

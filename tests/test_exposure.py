@@ -171,6 +171,14 @@ def test_csv_row_shape():
     assert fields[4] in {"0", "1"}
 
 
+@pytest.mark.parametrize("name", ["seed", "trial", "attempt"])
+def test_negative_stream_position_is_rejected_up_front(name):
+    m = IntMatrix.from_rows([[2, 0], [0, 2]])
+    position = {"seed": 6, "trial": 0, "attempt": 0, name: -1}
+    with pytest.raises(ValueError, match=f"{name} must be a non-negative integer, got -1"):
+        run_exposure(m, U01, 1.0, **position)
+
+
 def planted_start(n, diagonal, seed):
     """U diag(d) V for unimodular U and V with small entries, d the products
     of the given prime tuples padded with ones: det is the product of the
