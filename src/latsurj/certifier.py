@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, adjugate_rows, crt_solve, dets_mod_crt
+from .exact_linalg import IntMatrix, adjugate_rows, crt_solve
 from .modp import echelon, left_kernel_vector, parts
 
 # Never called here.  The benchmark's per-layer trace still wraps these two
@@ -118,7 +118,7 @@ def _minors(m: IntMatrix, sets: List[Tuple[int, ...]]) -> List[int]:
     det A and, by Cramer's rule, the minor of the set with column j at
     position i as X[i, C.index(j)], X = det A * A^-1 C; only the rows of X
     from the first such position on are solved.  The other sets, and all
-    of them when X is None, take one more stacked CRT call.
+    of them when X is None, take one more :func:`crt_solve` call.
     """
     a, base = m.array, sets[0]
     swaps = {}  # set index -> (position, column brought in)
@@ -134,7 +134,7 @@ def _minors(m: IntMatrix, sets: List[Tuple[int, ...]]) -> List[int]:
         minors.update((t, x[i - first, brought.index(j)]) for t, (i, j) in swaps.items())
     rest = [t for t in range(len(sets)) if t not in minors]
     if rest:
-        minors.update(zip(rest, dets_mod_crt([a[:, sets[t]] for t in rest])))
+        minors.update((t, d) for t, (d, _) in zip(rest, crt_solve([a[:, sets[t]] for t in rest])))
     return [minors[t] for t in range(len(sets))]
 
 

@@ -51,10 +51,11 @@ from .predictions import corank_prediction, trivial_cokernel_all_primes, trivial
 ENV_PREFIX = "LATSURJ_"
 
 # option names that a config-file line or a LATSURJ_<NAME> variable may set;
-# each applies only to an option flag of the chosen subcommand, whose type
-# and choices it passes like the flag itself
+# each applies only to an optional flag of the chosen subcommand, whose type
+# and choices it passes like the flag itself; argparse demands a required
+# flag, such as --n, before any override is read
 _OVERRIDABLE = (
-    "n", "m", "u", "p", "q", "k", "dist", "trials", "seed", "B", "threads", "out", "format",
+    "m", "u", "p", "q", "k", "dist", "trials", "seed", "B", "threads", "out", "format",
     "tolerance", "min_frequency", "max_singular", "mode", "primes", "kind",
 )
 
@@ -375,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_overrides(parser, args, argv)
         _log_config(args)
         return args.func(args)
-    except (ValueError, OSError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OSError, OverflowError, RuntimeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,11 +198,6 @@ def crt_solve(blocks: Sequence, first_row: int = 0) -> List[Tuple[int, np.ndarra
     return out
 
 
-def dets_mod_crt(arrays: Sequence) -> List[int]:
-    """Exact determinants of square integer arrays of one size: :func:`crt_solve` with s = 0."""
-    return [d for d, _ in crt_solve([_square(a) for a in arrays])]
-
-
 def _lift(primes: Sequence[int], residues):
     """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t];
     residues may also be arrays in [0, primes[t]), lifted entrywise.  The
@@ -237,7 +232,7 @@ def adjugate_rows(a) -> Tuple[int, np.ndarray]:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant via CRT over word-size primes."""
-    return dets_mod_crt([m.array])[0]
+    return crt_solve([_square(m.array)])[0][0]
 
 
 def det_is_zero(m: IntMatrix | np.ndarray) -> bool:
@@ -269,12 +264,12 @@ class SnfDecomposition:
         return tuple(self.diag.array.diagonal().tolist())
 
 
-def _min_abs_pivot(a: List[List[int]], t: int, n: int, m: int):
+def _min_abs_pivot(a: List[List[int]], t: int, rows: int, cols: int):
     best = None
     pos = None
-    for i in range(t, n):
+    for i in range(t, rows):
         row = a[i]
-        for j in range(t, m):
+        for j in range(t, cols):
             v = row[j]
             if v != 0:
                 av = abs(v)
@@ -286,87 +281,73 @@ def _min_abs_pivot(a: List[List[int]], t: int, n: int, m: int):
     return pos
 
 
-def _snf_inplace(a: List[List[int]], u: List[List[int]] | None, v: List[List[int]] | None) -> None:
-    """Reduce a to Smith form in place, accumulating row ops in u, column
-    ops in v (either may be None when transforms are not needed).
+def _snf_inplace(a: List[List[int]], rows: int, cols: int) -> None:
+    """Reduce the top-left rows x cols block of a to Smith form in place.
 
+    Row operations act on whole rows of a and column operations on whole
+    columns, so blocks of a beside and below the top-left one record them.
     Pivoting picks the minimum-absolute-value nonzero entry each round,
     which keeps coefficient growth tolerable at desk scale.
     """
-    n, m = len(a), len(a[0])
     t = 0
-    while t < min(n, m):
-        pos = _min_abs_pivot(a, t, n, m)
+    while t < min(rows, cols):
+        pos = _min_abs_pivot(a, t, rows, cols)
         if pos is None:
             break
         pi, pj = pos
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
 
         dirty = False
         pivot = a[t][t]
-        for i in range(t + 1, n):
+        for i in range(t + 1, rows):
             q = a[i][t] // pivot
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
             if a[i][t]:
                 dirty = True
-        for j in range(t + 1, m):
+        for j in range(t + 1, cols):
             q = a[t][j] // pivot
             if q:
                 for row in a:
                     row[j] -= q * row[t]
-                if v is not None:
-                    for row in v:
-                        row[j] -= q * row[t]
             if a[t][j]:
                 dirty = True
         if dirty:
             continue  # smaller remainders appeared; re-pick the pivot
 
         # row and column t are clear; enforce divisibility on the rest
-        fixed = True
-        for i in range(t + 1, n):
-            row = a[i]
-            if any(x % pivot for x in row[t + 1 :]):
+        for row in a[t + 1 : rows]:
+            if any(x % pivot for x in row[t + 1 : cols]):
                 a[t] = [x + y for x, y in zip(a[t], row)]
-                if u is not None:
-                    u[t] = [x + y for x, y in zip(u[t], u[i])]
-                fixed = False
                 break
-        if fixed:
+        else:
             t += 1
 
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms."""
-    a = m.array.tolist()
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-    _snf_inplace(a, u, v)
+    """Smith normal form with unimodular transforms, read off the blocks
+    U (top right), D (top left) and V (bottom left) of [[M, I], [I, 0]]."""
+    n, k = m.rows, m.cols
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.array.tolist())]
+    a += [[int(i == j) for j in range(k)] + [0] * n for i in range(k)]
+    _snf_inplace(a, n, k)
     return SnfDecomposition(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+        IntMatrix.from_rows([row[k:] for row in a[:n]]),
+        IntMatrix.from_rows([row[:k] for row in a[:n]]),
+        IntMatrix.from_rows([row[:k] for row in a[n:]]),
     )
 
 
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """Just the diagonal of the Smith form (no transforms; cheaper)."""
     a = m.array.tolist()
-    _snf_inplace(a, None, None)
+    _snf_inplace(a, m.rows, m.cols)
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 

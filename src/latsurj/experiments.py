@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("n must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 
     def to_dict(self) -> dict:
         out = {

@@ -43,6 +43,8 @@ def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
     a = float(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
+    if not b > 0:
+        raise ValueError(f"B must be positive, got {b}")
     return max(1, math.ceil(b * math.log(n) / (a * d_prev)))
 
 
@@ -53,6 +55,8 @@ def u_budget(n: int, alpha: Fraction | float, b: float) -> int:
     a = float(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
+    if not b > 0:
+        raise ValueError(f"B must be positive, got {b}")
     ln = math.log(n)
     ratio = ln / a
     return math.floor(b * (ratio * math.log(ratio) + ln))

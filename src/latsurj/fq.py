@@ -612,14 +612,22 @@ def kneser_exhaustive(n: int) -> SweepReport:
     return SweepReport(cases, violations)
 
 
-def cosine_sweep(instances: int = 100_000, max_k: int = 6, seed: int = 0) -> SweepReport:
-    """Random sweep of the cosine inequality, vectorized per tuple length."""
+# fixed parameters of cosine_sweep and level_set_sweep
+COSINE_MAX_K = 6
+NESTING_Q = 5
+NESTING_MAX_K = 4
+NESTING_MAX_DEN = 8
+
+
+def cosine_sweep(instances: int = 100_000, seed: int = 0) -> SweepReport:
+    """Random sweep of the cosine inequality, vectorized per tuple length:
+    `instances` angle tuples split evenly over k = 1..COSINE_MAX_K."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    per_k = instances // max_k
+    per_k = instances // COSINE_MAX_K
     cases = 0
     violations: List[dict] = []
-    for k in range(1, max_k + 1):
-        count = per_k if k < max_k else instances - per_k * (max_k - 1)
+    for k in range(1, COSINE_MAX_K + 1):
+        count = per_k if k < COSINE_MAX_K else instances - per_k * (COSINE_MAX_K - 1)
         betas = rng.uniform(-math.pi, math.pi, size=(count, k))
         lhs = np.cos(betas.sum(axis=1))
         rhs = k * np.cos(betas).sum(axis=1) - k * k + 1
@@ -630,38 +638,26 @@ def cosine_sweep(instances: int = 100_000, max_k: int = 6, seed: int = 0) -> Swe
     return SweepReport(cases, violations)
 
 
-def level_set_sweep(
-    q: int = 5,
-    pairs: int = 2000,
-    v_grid: Optional[Sequence[float]] = None,
-    max_k: int = 4,
-    seed: int = 0,
-    max_den: int = 8,
-) -> SweepReport:
-    """Random (mu, w) pairs crossed with a v grid and fold counts k.
-
-    Each instance runs the exhaustive nesting check; the pair count times
-    grid size times max_k gives the instance total.
-    """
-    fld = field_for_order(q)
+def level_set_sweep(pairs: int = 2000, seed: int = 0) -> SweepReport:
+    """Random (mu, w) pairs over F_NESTING_Q, weight numerators in
+    0..NESTING_MAX_DEN, crossed with the levels v = 0.25 i, i < 13, and fold
+    counts k = 1..NESTING_MAX_K: pairs * 13 * NESTING_MAX_K exhaustive checks."""
+    fld = field_for_order(NESTING_Q)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     cases = 0
     violations: List[dict] = []
     for _ in range(pairs):
-        numer = rng.integers(0, max_den + 1, size=q)
+        numer = rng.integers(0, NESTING_MAX_DEN + 1, size=NESTING_Q)
         if numer.sum() == 0:
             numer[0] = 1
         den = int(numer.sum())
         mu = FqDistribution(fld, tuple(Fraction(int(c), den) for c in numer))
         m = int(rng.integers(1, 5))
-        w = [int(x) for x in rng.integers(0, q, size=m)]
+        w = [int(x) for x in rng.integers(0, NESTING_Q, size=m)]
         f = _level_function(mu, w)
-        grid = v_grid if v_grid is not None else [0.25 * i for i in range(13)]
-        for v in grid:
-            for k, holds in enumerate(_nesting_by_fold(fld, f, float(v), max_k), 1):
+        for v in (0.25 * i for i in range(13)):
+            for k, holds in enumerate(_nesting_by_fold(fld, f, v, NESTING_MAX_K), 1):
                 cases += 1
                 if not holds:
-                    violations.append(
-                        {"q": q, "weights": numer.tolist(), "w": w, "v": float(v), "k": k}
-                    )
+                    violations.append({"q": NESTING_Q, "weights": numer.tolist(), "w": w, "v": v, "k": k})
     return SweepReport(cases, violations)

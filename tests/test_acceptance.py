@@ -183,7 +183,7 @@ def test_criterion_6_lo_grid_kneser_and_sweeps():
         kneser_cases += rep.cases
     cos = cosine_sweep(instances=100_000, seed=MASTER_SEED)
     total_violations += len(cos.violations)
-    nest = level_set_sweep(q=5, pairs=2000, seed=MASTER_SEED)  # 2000*13*4 = 104k
+    nest = level_set_sweep(pairs=2000, seed=MASTER_SEED)  # 2000*13*4 = 104k
     total_violations += len(nest.violations)
     elapsed = time.perf_counter() - start
     ok = total_violations == 0 and elapsed < 600

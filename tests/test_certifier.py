@@ -338,7 +338,7 @@ def _counting(monkeypatch, names):
     return calls
 
 
-DECIDER_CALLS = ("adjugate_rows", "echelon", "dets_mod_crt", "left_kernel_vector")
+DECIDER_CALLS = ("adjugate_rows", "echelon", "crt_solve", "left_kernel_vector")
 
 
 def test_independent_first_columns_take_one_adjugate_solve(monkeypatch):
@@ -450,7 +450,7 @@ def test_swap_sets_verify_from_one_solve(monkeypatch):
     # criterion 2's shape, a certificate that lists only swaps of one column
     # in place: one det_solve stack of [A | the columns swapped in] gives
     # every minor, solved from the first swapped position on, and no set
-    # takes dets_mod_crt
+    # takes a second crt_solve
     import latsurj.exact_linalg as exact_linalg
 
     rng = random.Random(71)
@@ -464,7 +464,7 @@ def test_swap_sets_verify_from_one_solve(monkeypatch):
         if len(swaps) == len(sets):
             break
     brought = sorted({j for _, j in swaps})
-    calls = _counting(monkeypatch, ("dets_mod_crt",))
+    calls = _counting(monkeypatch, ("crt_solve",))
     stacks, real = [], exact_linalg.det_solve
 
     def recording(stack, primes, first_row=0):
@@ -474,7 +474,7 @@ def test_swap_sets_verify_from_one_solve(monkeypatch):
     monkeypatch.setattr(exact_linalg, "det_solve", recording)
     assert verify_certificate(m, cert)
     primes = len(exact_linalg._crt_primes(m.array[:, list(cert.columns) + brought]))
-    assert stacks == [((primes, 50, 50 + len(brought)), min(i for i, _ in swaps))] and not calls
+    assert stacks == [((primes, 50, 50 + len(brought)), min(i for i, _ in swaps))] and calls == {"crt_solve": 1}
     assert min(i for i, _ in swaps) >= 50 - ADJUGATE_ROWS
 
 
@@ -486,9 +486,9 @@ def test_det_a_crt_prime_verifies_through_the_fallback(monkeypatch):
     cert = Certificate(
         verdict="surjective", columns=(0, 1, 2), determinant=q, columns_alt=(0, 1, 3), determinant_alt=1, gcd_value=1
     )
-    calls = _counting(monkeypatch, ("crt_solve", "dets_mod_crt"))
+    calls = _counting(monkeypatch, ("crt_solve",))
     assert verify_certificate(m, cert)
-    assert calls == {"crt_solve": 1, "dets_mod_crt": 1}
+    assert calls == {"crt_solve": 2}
     for wrong in (-1, 2, q):
         assert not verify_certificate(m, replace(cert, determinant_alt=wrong))
 

@@ -176,6 +176,37 @@ def test_weight_denominator_beyond_the_sampler_exit_2():
     assert err.splitlines()[-1] == f"error: weight denominator {d} exceeds the sampler's limit of 2^63"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "corank", "--n", "4", "--p", "2", "--dist", "0:1/0"],
+        ["experiment", "corank", "--n", "4", "--p", "2", "--dist", "bernoulli(1/0)"],
+        ["fourier", "check", "--q", "4", "--mu", "1/0,1,0,0"],
+    ],
+)
+def test_zero_denominator_exit_2(argv):
+    # exit 1 would read as a failed check
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--B", "-1"], "error: B must be positive, got -1.0"),
+        (["--B", "0"], "error: B must be positive, got 0.0"),
+        (["--tolerance", "nan"], "error: tolerance must be finite and non-negative, got nan"),
+        (["--tolerance", "-0.1"], "error: tolerance must be finite and non-negative, got -0.1"),
+    ],
+)
+def test_bad_budget_or_tolerance_exit_2(flags, message):
+    # B = -1 used to run with a negative budget and tolerance nan to fail every check
+    code, out, err = run_cli(["experiment", "exposure", "--n", "4", "--trials", "3", *flags])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == message
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("broken invariant"), OverflowError("too large")])
 def test_internal_errors_exit_2(monkeypatch, exc):
     def fail(cfg):
@@ -269,6 +300,21 @@ def test_override_outside_the_flag_choices_or_type_exit_2(argv, env):
     (name,) = env
     assert code == 2 and err.splitlines()[-1].startswith(f"error: {name}=")
     assert out == ""
+
+
+def test_overrides_set_only_optional_flags(tmp_path):
+    # argparse demands a required flag before any override is read, so
+    # every overridable name is an optional flag of some subcommand
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices.values()
+    actions = [a for p in subparsers for a in p._actions if a.dest in cli._OVERRIDABLE and a.option_strings]
+    assert {a.dest for a in actions} == set(cli._OVERRIDABLE)
+    assert not any(a.required for a in actions)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=5\n")
+    for extra, env in (([], {"LATSURJ_N": "5"}), (["--config", str(cfg)], None)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*extra, "sample"], env_extra=env)
+        assert exc.value.code == 2
 
 
 def test_sample_kind_still_overridable():

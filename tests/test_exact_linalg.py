@@ -15,9 +15,9 @@ from latsurj.exact_linalg import (
     crt_solve,
     det,
     det_is_zero,
-    dets_mod_crt,
     format_matrix,
     parse_matrix,
+    smith_diagonal,
     smith_normal_form,
 )
 from latsurj.modp import det_solve, int_array, rank_mod_p
@@ -250,22 +250,23 @@ def test_det_is_zero_rejects_non_integers():
         with pytest.raises(ValueError):
             det_is_zero(a)
         with pytest.raises(ValueError):
-            dets_mod_crt([a])
+            crt_solve([a])
 
 
-def test_dets_mod_crt_batches_equal_sizes():
+def test_crt_solve_batches_square_blocks():
+    # s = 0: square blocks of one size give their exact determinants
     rng = random.Random(29)
     mats = [random_matrix(rng, 9, 9, -(2**62), 2**62) for _ in range(3)]
     mats.append(random_matrix(rng, 9, 9, -(2**70), 2**70))
     singular = mats[0].array.tolist()
     singular[4] = singular[2]
     arrays = [m.array for m in mats] + [np.array(singular, dtype=object)]
-    assert dets_mod_crt(arrays) == [fraction_free(a.tolist())[1] for a in arrays]
-    assert dets_mod_crt([]) == []
+    assert [d for d, _ in crt_solve(arrays)] == [fraction_free(a.tolist())[1] for a in arrays]
+    assert crt_solve([]) == []
     with pytest.raises(ValueError):
-        dets_mod_crt([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+        crt_solve([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
     with pytest.raises(ValueError):
-        dets_mod_crt([np.ones((2, 3), dtype=np.int64)])
+        crt_solve([np.ones((3, 2), dtype=np.int64)])
 
 
 def test_crt_primes_follow_the_row_norms():
@@ -493,6 +494,26 @@ def snf_invariants(m):
             if i != j:
                 assert dec.diag.array[i, j] == 0
     return dec
+
+
+def test_snf_edge_shapes_and_entries_past_2_62():
+    # one row, one column, a zero row, a zero column, the zero matrix, and
+    # entries past 2^62 and past int64; the diagonal alone agrees
+    rng = random.Random(31)
+    big = 2**62
+    fixed = [
+        ([[4, 6, 10]], (2,)),
+        ([[4], [6], [10]], (2,)),
+        ([[0, 0, 0], [2, 4, 6], [0, 0, 0]], (2, 0, 0)),
+        ([[0, 3], [0, 6], [0, 9]], (3, 0)),
+        ([[0, 0], [0, 0]], (0, 0)),
+        ([[big + 1, 3 * big], [2 * big, -big - 5]], (1, 7 * big * big + 6 * big + 5)),
+    ]
+    for rows, diagonal in fixed:
+        assert snf_invariants(IntMatrix.from_rows(rows)).diagonal() == diagonal
+    for rows, cols in [(1, 6), (6, 1), (1, 1), (4, 6), (6, 4)]:
+        m = random_matrix(rng, rows, cols, -(2**70), 2**70)
+        assert snf_invariants(m).diagonal() == smith_diagonal(m)
 
 
 def test_snf_diag_2_3():

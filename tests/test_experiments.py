@@ -355,3 +355,11 @@ def test_threads_below_one_rejected(threads):
     # a worker count below 1 used to run serially and be recorded as given
     with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2, threads=threads)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.01])
+def test_tolerance_outside_finite_non_negative_rejected(tolerance):
+    # a nan tolerance used to fail every prediction check
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2, tolerance=tolerance)
+    assert ExperimentConfig(CORANK, n=4, trials=2, master_seed=1, dist=U01, p=2, tolerance=0.0).tolerance == 0.0

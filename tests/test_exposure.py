@@ -39,8 +39,16 @@ def test_batch_size_values():
 
 def test_u_budget_values():
     assert u_budget(100, Fraction(1, 2), 1.0) == 25
-    assert u_budget(100, Fraction(1, 2), 0.0) == 0
     assert u_budget(50, Fraction(1, 2), 2.0) == 40
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+def test_budget_and_batch_reject_non_positive_b(b):
+    # B = -1 used to give the budget -5 and run on
+    with pytest.raises(ValueError, match="B must be positive"):
+        u_budget(100, Fraction(1, 2), b)
+    with pytest.raises(ValueError, match="B must be positive"):
+        batch_size(100, Fraction(1, 2), b, 3)
 
 
 def test_run_exposure_identity():

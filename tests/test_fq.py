@@ -1,4 +1,5 @@
 import itertools
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -501,6 +502,7 @@ def test_lo_grid_small_clean_and_cross_checked():
 def test_cosine_sweep_clean():
     rep = cosine_sweep(instances=5000, seed=3)
     assert rep.cases == 5000 and not rep.violations
+    assert list(inspect.signature(cosine_sweep).parameters) == ["instances", "seed"]
 
 
 def test_full_rank_frequency_bound():
@@ -528,3 +530,4 @@ def test_full_rank_frequency_bound():
 def test_level_set_sweep_clean():
     rep = level_set_sweep(pairs=30, seed=4)
     assert not rep.violations and rep.cases == 30 * 13 * 4
+    assert list(inspect.signature(level_set_sweep).parameters) == ["pairs", "seed"]

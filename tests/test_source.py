@@ -64,7 +64,7 @@ def test_decider_takes_no_minors_one_at_a_time():
     # its swaps; only the verifier computes minors of listed column sets
     called = _called_names("certifier.py", "is_surjective")
     assert "adjugate_rows" in called
-    assert not called & {"dets_mod_crt", "_minors", "det"}
+    assert not called & {"crt_solve", "_minors", "det"}
 
 
 def _is_modular_inverse(node):
