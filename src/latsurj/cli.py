@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certifier import is_surjective, verify_certificate
@@ -23,6 +22,7 @@ from .ensembles import (
     SYMMETRIC_PLUS,
     EnsembleSpec,
     parse_distribution,
+    parse_weight,
     sample_matrix,
 )
 from .exact_linalg import IntMatrix, cokernel, format_matrix, parse_matrix, smith_normal_form
@@ -241,7 +241,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_fourier(args) -> int:
     if args.action == "check":
         fld = field_for_order(args.q)
-        weights = [Fraction(t) for t in args.mu.split(",")]
+        weights = [parse_weight(t, "--mu") for t in args.mu.split(",")]
         mu = FqDistribution(fld, tuple(weights))
         w = [int(t) for t in args.w.split(",")]
         failures = 0
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1,
         help="worker threads, default 1; more speed up the det-mode singularity runner, whose "
         "determinants run inside numpy without the GIL, and leave the other runners as fast or "
-        "slower; every experiment hands them chunks of up to 256 trials (output is identical for "
-        "any value)",
+        "slower; every experiment hands them chunks of up to 256 trials, cut for this many "
+        "workers, and starts at most as many threads as there are CPUs or chunks (output is "
+        "identical for any value)",
     )
     p_exp.add_argument("--mode", default="default")
     p_exp.add_argument("--primes", help="restrict to this prime set (trivial)")

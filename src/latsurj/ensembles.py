@@ -159,6 +159,15 @@ def alpha_min(dist: Distribution) -> Fraction:
 _BERNOULLI_RE = re.compile(r"^bernoulli\((.+)\)$")
 
 
+def parse_weight(text: str, option: str) -> Fraction:
+    """The weight `text` given to the command-line option `option` as a
+    Fraction; a zero denominator is a ValueError naming both."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option}: weight {text.strip()!r} has a zero denominator") from None
+
+
 def parse_distribution(text: str) -> Distribution:
     """Parse a distribution literal.
 
@@ -170,7 +179,7 @@ def parse_distribution(text: str) -> Distribution:
         return Distribution.uniform([0, 1])
     m = _BERNOULLI_RE.match(s)
     if m:
-        return sparse_bernoulli(Fraction(m.group(1)))
+        return sparse_bernoulli(parse_weight(m.group(1), "--dist"))
     if s.startswith("uniform"):
         rest = s[len("uniform") :]
         values = [int(t) for t in rest.split(",") if t != ""]
@@ -182,7 +191,7 @@ def parse_distribution(text: str) -> Distribution:
         if ":" not in part:
             raise ValueError(f"bad atom {part!r} in distribution literal")
         v, w = part.split(":", 1)
-        pairs.append((int(v), Fraction(w)))
+        pairs.append((int(v), parse_weight(w, "--dist")))
     return Distribution(tuple(pairs))
 
 

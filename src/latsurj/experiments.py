@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from .certifier import is_surjective
 from .ensembles import (
@@ -191,13 +194,16 @@ _CHUNK_TRIALS = 256
 
 def _map_chunks(cfg: ExperimentConfig, m: int, per_chunk: Callable[[range], List]) -> List:
     """per_chunk's per-trial results over every chunk of cfg's trials, in
-    trial order; chunks of n x m trials go to cfg.threads worker threads."""
+    trial order.  Chunks of n x m trials are cut for cfg.threads workers, so
+    reports do not depend on the machine, but no more threads start than
+    there are CPUs or chunks."""
     size = max(1, min(_CHUNK_TRIALS, _STACK_BYTES // (8 * cfg.n * m), math.ceil(cfg.trials / cfg.threads)))
     chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
-    if cfg.threads == 1:
+    workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
+    if workers == 1:
         parts = [per_chunk(chunk) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(per_chunk, chunks))
     return [result for part in parts for result in part]
 
@@ -213,19 +219,25 @@ def _iid_ranks(cfg: ExperimentConfig, m: int, ps: Tuple[int, ...]) -> List[Tuple
 
     A chunk is eliminated as one batch, and trial i draws its matrix from
     the Philox position (master_seed, i) exactly as a one-trial-at-a-time
-    loop would; for p = 2 a chunk keeps only the packed rows.
+    loop would.  For p = 2 the low bits of a chunk's matrices fill one
+    uint8 buffer, packed once; the int64 matrices are kept only for odd
+    primes.
     """
     for p in ps:
         if not _primes.is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
+    odd = any(p != 2 for p in ps)
 
     def per_chunk(chunk: range) -> List[Tuple[int, ...]]:
-        held = {p: [] for p in ps}
-        for i in chunk:
+        bits = np.empty((len(chunk), cfg.n, m), dtype=np.uint8) if 2 in ps else None
+        held = []
+        for k, i in enumerate(chunk):
             arr = sample_array(_spec(cfg, i, m=m))
-            for p in ps:
-                held[p].append(pack_gf2(arr) if p == 2 else arr)
-        ranks = [gf2_ranks(held[p], m).tolist() if p == 2 else [rank_mod_p(a, p) for a in held[p]] for p in ps]
+            if bits is not None:
+                np.bitwise_and(arr, 1, out=bits[k], casting="unsafe")
+            if odd:
+                held.append(arr)
+        ranks = [gf2_ranks(pack_gf2(bits), m).tolist() if p == 2 else [rank_mod_p(a, p) for a in held] for p in ps]
         return list(zip(*ranks))
 
     return _map_chunks(cfg, m, per_chunk)

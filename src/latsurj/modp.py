@@ -300,7 +300,7 @@ def pack_gf2(a: np.ndarray) -> np.ndarray:
     j % 64 of word j // 64.  Negative entries reduce like any other
     (-1 is odd).
     """
-    bytes_ = np.packbits((a & 1).astype(np.uint8), axis=-1, bitorder="little")
+    bytes_ = np.packbits((a & 1).astype(np.uint8, copy=False), axis=-1, bitorder="little")
     pad = -bytes_.shape[-1] % 8
     if pad:
         bytes_ = np.concatenate([bytes_, np.zeros(bytes_.shape[:-1] + (pad,), np.uint8)], axis=-1)
@@ -310,15 +310,24 @@ def pack_gf2(a: np.ndarray) -> np.ndarray:
 def gf2_ranks(packed: np.ndarray, cols: int) -> np.ndarray:
     """Ranks over F_2 of a (T, n, W) stack of pack_gf2 matrices with `cols` columns.
 
-    All T matrices are eliminated together, one column at a time: each
-    takes its first row carrying the bit as pivot and XORs it into every
-    row carrying the bit, the pivot included, through the bit itself as a
-    0/1 uint64 multiplier of the pivot row.  The pivot row thus drops out
-    as zero and counts one toward the rank; no other row keeps the bit.
-    Every 8 columns the loop stops once every matrix has full row rank.
+    All T matrices are eliminated together.  When a row is one word
+    (W = 1, cols <= 64) each step takes every matrix's largest row m as
+    pivot on its leading bit and replaces every row r by min(r, r ^ m):
+    exactly the rows holding that bit lose it, and m itself becomes 0.
+    The rank is the number of steps with m != 0; a matrix whose m is 0
+    has no nonzero row left, and every 8 steps the loop stops once all
+    of them are there.  Wider rows are eliminated one column at a time:
+    each matrix takes its first row carrying the bit as pivot and XORs it
+    into every row carrying the bit, the pivot included, through the bit
+    itself as a 0/1 uint64 multiplier of the pivot row.  The pivot row
+    thus drops out as zero and counts one toward the rank; no other row
+    keeps the bit.  Every 8 columns the loop stops once every matrix has
+    full row rank.
     """
     rows = np.array(packed, dtype=np.uint64)
-    count, n, _ = rows.shape
+    count, n, width = rows.shape
+    if width == 1:
+        return _gf2_word_ranks(rows.reshape(count, n), min(n, cols))
     trial = np.arange(count)
     ranks = np.zeros(count, dtype=np.uint64)
     for c in range(cols):
@@ -329,6 +338,21 @@ def gf2_ranks(packed: np.ndarray, cols: int) -> np.ndarray:
         if c % 8 == 7 and (ranks == n).all():
             break
     return ranks.astype(np.int64)
+
+
+def _gf2_word_ranks(words: np.ndarray, steps: int) -> np.ndarray:
+    """gf2_ranks of (T, n) one-word rows, reduced in place by at most
+    `steps` leading-bit steps; step s keeps every matrix's pivot m in
+    maxima[s], a (T, 1) row of the table whose nonzero entries count."""
+    maxima = np.zeros((steps, len(words), 1), dtype=np.uint64)
+    flipped = np.empty_like(words)
+    for s, m in enumerate(maxima):
+        np.maximum.reduce(words, axis=1, keepdims=True, out=m)
+        np.bitwise_xor(words, m, out=flipped)
+        np.minimum(words, flipped, out=words)
+        if s % 8 == 7 and not m.any():
+            break
+    return np.count_nonzero(maxima, axis=(0, 2)).astype(np.int64)
 
 
 # -- incremental column spaces ------------------------------------------

@@ -185,10 +185,11 @@ def test_weight_denominator_beyond_the_sampler_exit_2():
     ],
 )
 def test_zero_denominator_exit_2(argv):
-    # exit 1 would read as a failed check
+    # exit 1 would read as a failed check; the message names the option and the weight
     code, out, err = run_cli(argv)
+    option = argv[-2]
     assert code == 2 and out == ""
-    assert err.splitlines()[-1].startswith("error:")
+    assert err.splitlines()[-1] == f"error: {option}: weight '1/0' has a zero denominator"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from latsurj.certifier import is_surjective
 from latsurj.ensembles import (
     Distribution,
     EnsembleSpec,
+    parse_distribution,
     sample_array,
     sparse_bernoulli,
 )
@@ -25,7 +26,7 @@ from latsurj.experiments import (
     run_experiment,
     wilson_interval,
 )
-from latsurj.modp import rank_mod_p
+from latsurj.modp import pack_gf2, rank_mod_p
 
 U01 = Distribution.uniform([0, 1])
 POINT0 = Distribution(((0, Fraction(1)),))
@@ -200,8 +201,11 @@ def test_trial_matrices_recoverable_from_seed():
     # experiments eliminate at once; each trial must still equal its own
     # (master_seed, i) matrix taken alone.
     u101 = Distribution.uniform([-1, 0, 1])
+    wide = parse_distribution("-3:1/4,0:1/4,256:1/4,257:1/4")
     configs = [
         ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=U01, p=2),
+        # negative atoms and atoms of 2^8 and up: the parity buffer is uint8
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=wide, p=2),
         ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=u101, p=3),
         ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, primes=(2, 3), mode="p_restricted"),
         ExperimentConfig(SINGULARITY, n=5, trials=1, master_seed=0, dist=U01, mode="mod_p", p=2),
@@ -231,6 +235,54 @@ def test_trial_drawn_alone_equals_its_draw_in_a_report(monkeypatch, threads):
     assert sorted(drawn) == list(range(300))
     for i in (0, 1, 150, 299):
         assert (drawn[i] == sample_array(EnsembleSpec("iid_rect", 7, U01, 31, trial=i))).all()
+
+
+def test_corank_packs_each_chunk_once(monkeypatch):
+    # 300 trials are two chunks, 256 and 44; each chunk's parities are packed in one call
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return pack_gf2(a)
+
+    monkeypatch.setattr(experiments, "pack_gf2", recording)
+    run_experiment(ExperimentConfig(CORANK, n=6, trials=300, master_seed=5, dist=U01, p=2))
+    assert shapes == [(256, 6, 6), (44, 6, 6)]
+
+
+@pytest.mark.parametrize(
+    "threads,trials,cpus,workers",
+    [
+        (5000, 5000, 3, 3),  # 5000 one-trial chunks, three CPUs
+        (4, 2, 8, 2),  # two chunks
+        (3, 300, 8, 3),
+        (4, 400, None, None),  # an unknown CPU count runs in the calling thread
+    ],
+)
+def test_worker_threads_are_capped_by_cpus_and_chunks(monkeypatch, threads, trials, cpus, workers):
+    made = []
+
+    class RecordingPool:
+        """Records max_workers and maps in the calling thread: no thread starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    cfg = ExperimentConfig(CORANK, n=3, trials=trials, master_seed=4, dist=U01, p=2, threads=threads)
+    report = run_experiment(cfg)
+    assert made == ([] if workers is None else [workers])
+    assert report.canonical_json() == run_experiment(replace(cfg, threads=1)).canonical_json()
 
 
 def test_report_hashes_its_seed_a_constant_number_of_times(monkeypatch):

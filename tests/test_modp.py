@@ -507,6 +507,12 @@ def _identity_first(count, n, m, deficient=None):
 @example(_identity_first(3, 4, 40))  # every trial is done at column 4 of 40
 @example(_identity_first(3, 4, 40, deficient=0))  # trial 0 stays at rank 3
 @example(np.random.default_rng(7).integers(-3, 4, size=(1, 70, 140)))  # 70 rows, 3 words
+@example(_identity_first(2, 63, 63, deficient=1))  # one-word rows: ranks 63 and 62
+@example(_identity_first(2, 64, 64, deficient=1))  # every bit of the word: ranks 64 and 63
+@example(np.random.default_rng(8).integers(0, 2, size=(1, 30, 50)))  # one trial
+@example(np.random.default_rng(9).integers(0, 2, size=(3, 12, 40)) * (np.arange(12) % 3 != 0)[:, None])  # zero rows
+@example(np.zeros((2, 5, 64), dtype=np.int64))
+@example(np.random.default_rng(10).integers(0, 2, size=(2, 12, 20)) * np.array([0, 1])[:, None, None])  # one done at once
 @settings(max_examples=120, deadline=None)
 def test_gf2_ranks_match_rank_of_array(stack):
     # the bit-packed kernel against the generic one
