@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -79,21 +79,11 @@ class Certificate:
         return self.verdict == SURJECTIVE
 
     def to_dict(self) -> dict:
-        out: dict = {"format": 2, "verdict": self.verdict}
-        for key in (
-            "reason",
-            "columns",
-            "determinant",
-            "columns_alt",
-            "determinant_alt",
-            "gcd_value",
-            "extra_columns",
-            "modulus",
-            "annihilator",
-        ):
-            value = getattr(self, key)
+        out: dict = {"format": 2}
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value is not None:
-                out[key] = _listed(value)
+                out[field.name] = _listed(value)
         return out
 
 

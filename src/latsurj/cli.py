@@ -74,17 +74,20 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill in option flags left unset from config file and environment.
-
-    Explicit flags win; config beats defaults; environment beats config.
-    """
+def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Sequence[str]):
+    """argv parsed again with config-file and environment values as the
+    chosen subcommand's defaults: argparse uses a default only for a flag
+    argv leaves out, so explicit flags win; environment beats config.
+    Every override is checked, even beside its flag."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    explicit = _explicit(argv)
+    unknown = [key for key in file_values if key not in _OVERRIDABLE]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; choose from {', '.join(_OVERRIDABLE)}")
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    values = {}
     for action in command._actions:
         key = action.dest
-        if key not in _OVERRIDABLE or not action.option_strings or key in explicit:
+        if key not in _OVERRIDABLE or not action.option_strings:
             continue
         source = ENV_PREFIX + key.upper()
         raw = os.environ.get(source)
@@ -98,17 +101,9 @@ def _apply_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace, 
             raise ValueError(f"{source}={raw!r} is not a valid {action.type.__name__}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{source}={raw!r}: choose from {', '.join(map(str, action.choices))}")
-        setattr(args, key, value)
-
-
-def _explicit(argv: Sequence[str]) -> set:
-    """The destinations argv sets, as argparse resolves its flags (unique
-    prefixes and --name=value included): a parse with no defaults."""
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if a.dest == "command").choices.values()
-    for action in (a for p in (parser, *subparsers) for a in p._actions):
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
+        values[key] = value
+    command.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _log_config(args: argparse.Namespace) -> None:
@@ -117,8 +112,10 @@ def _log_config(args: argparse.Namespace) -> None:
 
 
 def _read_matrix_arg(path: str) -> IntMatrix:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_matrix(text)
+    if path == "-":
+        return parse_matrix(sys.stdin.read())
+    with open(path) as fh:
+        return parse_matrix(fh.read())
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -372,9 +369,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = argv
     try:
-        _apply_overrides(parser, args, argv)
+        args = _apply_overrides(parser, args, argv)
+        args._argv = argv
         _log_config(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError, RuntimeError, ZeroDivisionError) as exc:

@@ -81,12 +81,9 @@ class ExposureTrace:
     batch_d_prev: Tuple[int, ...]
     total_extra_columns: int
     achieved: bool
-    cap: int
     seed: int
     trial: int
     attempt: int
-    alpha: Fraction
-    b: float
     final_matrix: IntMatrix
 
     def csv_row(self) -> str:
@@ -193,11 +190,8 @@ def run_exposure(
         batch_d_prev=tuple(batch_d_prev),
         total_extra_columns=consumed,
         achieved=not any(traj[-1] for traj in trajectories.values()),
-        cap=cap,
         seed=seed,
         trial=trial,
         attempt=attempt,
-        alpha=Fraction(a),
-        b=b,
         final_matrix=final,
     )

@@ -116,26 +116,11 @@ class FieldTable:
         self._build_tables()
         self._build_trace()
 
-    # digit <-> encoding
-
-    def digits(self, x: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(self.f):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
-
-    def encode(self, digits: Sequence[int]) -> int:
-        e = 0
-        for d in reversed(digits):
-            e = e * self.p + (d % self.p)
-        return e
-
     def _mul_poly(self, a: int, b: int) -> int:
         if self.f == 1:
             return a * b % self.p
-        prod = _poly_mulmod(self.digits(a), self.digits(b), list(self.modulus_poly), self.p)
-        return self.encode(prod + [0] * (self.f - len(prod)))
+        prod = _poly_mulmod(self._digits[a].tolist(), self._digits[b].tolist(), self.modulus_poly, self.p)
+        return sum(c * self.p**i for i, c in enumerate(prod))
 
     def _build_tables(self) -> None:
         q = self.q
@@ -279,22 +264,13 @@ def mu_hat_all(mu: FqDistribution) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class SpectrumSet:
+def spec_set(mu: FqDistribution, eps: float) -> FrozenSet[int]:
     """Elements where |mu_hat| >= 1 - eps (with numeric slack toward
     inclusion, so downstream non-containment checks only get stricter)."""
-
-    field: FieldTable
-    eps: float
-    members: FrozenSet[int]
-
-
-def spec_set(mu: FqDistribution, eps: float) -> SpectrumSet:
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     mags = np.abs(mu_hat_all(mu))
-    members = frozenset(int(x) for x in np.nonzero(mags >= 1 - eps - SLACK)[0])
-    return SpectrumSet(mu.field, eps, members)
+    return frozenset(np.flatnonzero(mags >= 1 - eps - SLACK).tolist())
 
 
 # -- exact dot-product laws ------------------------------------------------
@@ -355,7 +331,7 @@ def additive_subgroups(fld: FieldTable, min_dim: int = 0, max_dim: Optional[int]
     out: List[FrozenSet[int]] = []
     for basis in iter_subspaces(fld.p, fld.f, dims=range(min_dim, hi + 1)):
         elements = subspace_elements(fld.p, basis, fld.f)
-        out.append(frozenset(fld.encode(vec) for vec in elements))
+        out.append(frozenset((np.array(elements) @ fld._place).tolist()))
     return out
 
 
@@ -392,7 +368,6 @@ class LoBoundResult:
     rhs: float
     holds: bool
     alpha: Fraction
-    support_size: int
     probability: Fraction
     vacuous: bool
 
@@ -414,9 +389,9 @@ def lo_bound_check(mu: FqDistribution, w: Sequence[int], r: int) -> LoBoundResul
     prob = exact_dot_distribution(mu, w)[r]
     lhs = abs(float(prob - Fraction(1, fld.q)))
     if alpha == 0:
-        return LoBoundResult(lhs, math.inf, True, alpha, m, prob, True)
+        return LoBoundResult(lhs, math.inf, True, alpha, prob, True)
     rhs = 2.0 / math.sqrt(float(alpha) * m)
-    return LoBoundResult(lhs, rhs, lhs <= rhs + SLACK, alpha, m, prob, False)
+    return LoBoundResult(lhs, rhs, lhs <= rhs + SLACK, alpha, prob, False)
 
 
 # -- level sets -------------------------------------------------------------
@@ -491,7 +466,7 @@ def spectrum_subgroup_check(mu: FqDistribution) -> SubgroupCheckResult:
         return SubgroupCheckResult(alpha, False, None, None)
     spectrum = spec_set(mu, float(alpha) / 2)
     for sub in additive_subgroups(mu.field, min_dim=1):
-        if sub <= spectrum.members:
+        if sub <= spectrum:
             return SubgroupCheckResult(alpha, True, False, sub)
     return SubgroupCheckResult(alpha, True, True, None)
 

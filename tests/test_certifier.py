@@ -3,7 +3,7 @@ import math
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -666,6 +666,30 @@ def test_certificate_json_dict():
     for removed in ("method", "factorization", "prime_checks", "prime", "rational_rank", "invariant_factors", "free_rank"):
         assert removed not in doc
 
+
+_SURJECTIVE_KEYS = ["format", "verdict", "columns", "determinant"]
+
+
+@pytest.mark.parametrize(
+    "rows,keys",
+    [
+        ([[1, 0], [0, 1]], _SURJECTIVE_KEYS + ["gcd_value"]),
+        ([[2, 3]], _SURJECTIVE_KEYS + ["columns_alt", "determinant_alt", "gcd_value"]),
+        (
+            [[12, 10, 30, 15, 10], [15, 1, 1, 10, 12]],
+            _SURJECTIVE_KEYS + ["columns_alt", "determinant_alt", "gcd_value", "extra_columns"],
+        ),
+        ([[2, 4]], ["format", "verdict", "reason", "modulus", "annihilator"]),
+        ([[1], [0]], ["format", "verdict", "reason"]),
+    ],
+    ids=["gcd1", "swap", "parts", "annihilator", "shape"],
+)
+def test_certificate_dict_is_format_and_every_set_field(rows, keys):
+    cert = is_surjective(IntMatrix.from_rows(rows))
+    present = {f.name: getattr(cert, f.name) for f in fields(cert) if getattr(cert, f.name) is not None}
+    doc = cert.to_dict()
+    assert list(doc) == keys == ["format", *present]
+    assert doc == json.loads(json.dumps({"format": 2, **present}))
 
 # -- adversarial inputs against the Smith oracle ------------------------------
 

@@ -303,6 +303,34 @@ def test_override_outside_the_flag_choices_or_type_exit_2(argv, env):
     assert out == ""
 
 
+def test_malformed_override_beside_its_flag_exit_2():
+    # overrides are the subcommand's defaults, each checked even where a flag wins
+    code, out, err = run_cli(
+        ["experiment", "corank", "--n", "4", "--p", "2", "--trials", "3"], env_extra={"LATSURJ_TRIALS": "many"}
+    )
+    assert code == 2 and err.splitlines()[-1].startswith("error: LATSURJ_TRIALS=")
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", ["sed=4", "n=5"])
+def test_unknown_config_key_exit_2(tmp_path, line):
+    # a misspelt key, or one no override may set, is named rather than ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["--config", str(cfg), "sample", "--n", "2"])
+    key = line.split("=")[0]
+    assert code == 2 and err.splitlines()[-1].startswith(f"error: unknown config key '{key}'")
+    assert "seed" in err.splitlines()[-1]
+    assert out == ""
+
+
+def test_config_key_the_subcommand_lacks_is_ignored(tmp_path):
+    # one config file may serve several subcommands
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=5\n")
+    assert run_cli(["--config", str(cfg), "sample", "--n", "2"])[:2] == run_cli(["sample", "--n", "2"])[:2]
+
+
 def test_overrides_set_only_optional_flags(tmp_path):
     # argparse demands a required flag before any override is read, so
     # every overridable name is an optional flag of some subcommand
