@@ -131,11 +131,12 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _cmd_sample(args) -> int:
     dist = parse_distribution(args.dist)
+    position = {"trial": args.trial, "attempt": args.attempt}
     if args.kind == SYMMETRIC_PLUS:
-        spec = EnsembleSpec(SYMMETRIC_PLUS, args.n, dist, args.seed, u=args.u or 0)
+        spec = EnsembleSpec(SYMMETRIC_PLUS, args.n, dist, args.seed, u=args.u or 0, **position)
     else:
         m = args.m if args.m is not None else args.n + (args.u or 0)
-        spec = EnsembleSpec(IID_RECT, args.n, dist, args.seed, m=m)
+        spec = EnsembleSpec(IID_RECT, args.n, dist, args.seed, m=m, **position)
     _write_output(format_matrix(sample_matrix(spec)), args.out)
     return 0
 
@@ -242,10 +243,10 @@ def _cmd_fourier(args) -> int:
         mu = FqDistribution(fld, tuple(weights))
         w = [int(t) for t in args.w.split(",")]
         failures = 0
+        nest = check_level_set_nesting(mu, w, args.v, args.k)  # a bad level or k exits before any line
         res = lo_bound_check(mu, w, args.r)
         print(f"lo_bound: lhs={res.lhs:.6g} rhs={res.rhs:.6g} holds={res.holds}")
         failures += 0 if res.holds else 1
-        nest = check_level_set_nesting(mu, w, args.v, args.k)
         print(f"level_set_nesting(v={args.v}, k={args.k}): holds={nest}")
         failures += 0 if nest else 1
         sub = spectrum_subgroup_check(mu)
@@ -296,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--u", type=int)
     p_sample.add_argument("--dist", default="uniform01")
     p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--trial", type=int, default=0, help="trial index of the draw's stream position")
+    p_sample.add_argument("--attempt", type=int, default=0, help="attempt of the draw's stream position")
     p_sample.add_argument("--out")
     p_sample.set_defaults(func=_cmd_sample)
 

@@ -7,10 +7,11 @@ to the atom whose cumulative weight first exceeds it, so no floating
 point enters the stream.  The map is a table of every digit's value while
 d is at most 2^16 and a binary search above.  Digits come exactly from
 the narrowest 8-, 16-, 32- or 64-bit fields of raw Philox4x64 words that
-hold them, by rejection.  Every draw is a counter position: the seed
-keys the generator, and (stream, trial, attempt) fill the high counter
-words, so trial i of a report is recoverable from (master seed, i) alone
-and parallel experiments are order-independent.
+hold them, by rejection; a stack of trials whose law never rejects a
+field maps each raw field through one table.  Every draw is a counter
+position: the seed keys the generator, and (stream, trial, attempt) fill
+the high counter words, so trial i of a report is recoverable from
+(master seed, i) alone and parallel experiments are order-independent.
 """
 
 from __future__ import annotations
@@ -100,6 +101,22 @@ class Distribution:
         cuts = np.cumsum([int(w * d) for w in self.weights[:-1]], dtype=np.int64)
         table = values[np.searchsorted(cuts, np.arange(d), side="right")] if d <= _TABLE_LIMIT else None
         return values, cuts, table
+
+    @cached_property
+    def _field_tables(self) -> Tuple[np.ndarray, np.ndarray] | None:
+        """(values, parities) of every raw w-bit field when w <= 16 and no
+        field is ever rejected (d divides 2^w): the int64 value each field
+        draws under _accept and the digit table, and its low bit as uint8.
+        None for every other law."""
+        d = self.common_denominator
+        w = _field_bits(d)
+        if w > 16:
+            return None
+        digits, accepted = _accept(np.arange(2**w, dtype=f"u{w // 8}"), d, w)
+        if accepted is not None:
+            return None
+        values = self._sampler[2].take(digits)
+        return values, (values & 1).astype(np.uint8)
 
     def literal(self) -> str:
         """Canonical config-file / CLI literal, e.g. "0:9/10,1:1/10"."""
@@ -370,6 +387,27 @@ def sample_array(spec: EnsembleSpec) -> np.ndarray:
     if spec.u:
         out[:, n:] = draws[tri_count:].reshape(n, spec.u)
     return out
+
+
+def sample_iid_stack(dist: Distribution, n: int, m: int, seed: int, trials: range, parities: bool = False) -> np.ndarray:
+    """The n x m iid matrices of `trials` at attempt 0 as one (len(trials),
+    n, m) array: int64 values, or their parities as uint8.  Slice k equals
+    sample_array of EnsembleSpec(IID_RECT, n, dist, seed, m=m, trial=trials[k]).
+    A law whose fields are never rejected reads each trial's raw words at its
+    own stream position into one buffer and maps every field through one
+    table; any other law draws trial by trial."""
+    check_position(seed, min(trials, default=0), 0)
+    tables = dist._field_tables
+    if tables is None:
+        values = np.stack([_draw_values(dist, n * m, _stream(seed, MATRIX_STREAM, i, 0)) for i in trials])
+        out = (values & 1).astype(np.uint8) if parities else values
+    else:
+        w = _field_bits(dist.common_denominator)
+        words = np.empty((len(trials), -(-n * m * w // 64)), dtype="<u8")
+        for k, i in enumerate(trials):
+            words[k] = _stream(seed, MATRIX_STREAM, i, 0).random_raw(words.shape[1])
+        out = tables[1 if parities else 0].take(words.view(f"<u{w // 8}")[:, : n * m])
+    return out.reshape(len(trials), n, m)
 
 
 def sample_matrix(spec: EnsembleSpec) -> IntMatrix:

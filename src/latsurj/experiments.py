@@ -5,9 +5,9 @@ position (master seed, i), with no state shared between trials, and
 per-trial results aggregate through a commutative counter, so reports
 are identical for any worker count.
 Every experiment hands workers chunks of trials; the rank experiments
-(corank, p-restricted trivial cokernel, mod-p singularity) eliminate each
-chunk as one batch, bit-packed for p = 2, and the others run its trials
-one by one.  The canonical report serialization deliberately excludes
+(corank, p-restricted trivial cokernel, mod-p singularity) draw each chunk
+as one stack and eliminate it as one batch, bit-packed for p = 2, and the
+others run its trials one by one.  The canonical report serialization deliberately excludes
 wall-clock time and worker metadata; those live in a side "meta" block of
 the written file.
 """
@@ -21,6 +21,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable, List, Optional, Tuple
 
@@ -35,6 +36,7 @@ from .ensembles import (
     alpha_min,
     check_seed,
     sample_array,
+    sample_iid_stack,
     sample_matrix,
 )
 from .exact_linalg import _STACK_BYTES, det_is_zero
@@ -174,11 +176,17 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=8)
+def _normal_quantile(confidence: float) -> float:
+    """The two-sided standard normal quantile of a confidence level."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2)
+
+
 def wilson_interval(count: int, n: int, confidence: float = CONFIDENCE) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2)
+    z = _normal_quantile(confidence)
     phat = count / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -217,27 +225,18 @@ def _spec(cfg: ExperimentConfig, index: int, kind: str = IID_RECT, **fields) -> 
 def _iid_ranks(cfg: ExperimentConfig, m: int, ps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     """Per trial, the ranks mod each prime of ps of its n x m iid matrix.
 
-    A chunk is eliminated as one batch, and trial i draws its matrix from
-    the Philox position (master_seed, i) exactly as a one-trial-at-a-time
-    loop would.  For p = 2 the low bits of a chunk's matrices fill one
-    uint8 buffer, packed once; the int64 matrices are kept only for odd
-    primes.
+    A chunk is drawn as one stack, trial i from the Philox position
+    (master_seed, i) exactly as a one-trial-at-a-time loop would, and
+    eliminated as one batch.  For p = 2 alone the stack holds parities,
+    packed once; odd primes read the values.
     """
     for p in ps:
         if not _primes.is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-    odd = any(p != 2 for p in ps)
 
     def per_chunk(chunk: range) -> List[Tuple[int, ...]]:
-        bits = np.empty((len(chunk), cfg.n, m), dtype=np.uint8) if 2 in ps else None
-        held = []
-        for k, i in enumerate(chunk):
-            arr = sample_array(_spec(cfg, i, m=m))
-            if bits is not None:
-                np.bitwise_and(arr, 1, out=bits[k], casting="unsafe")
-            if odd:
-                held.append(arr)
-        ranks = [gf2_ranks(pack_gf2(bits), m).tolist() if p == 2 else [rank_mod_p(a, p) for a in held] for p in ps]
+        stack = sample_iid_stack(cfg.dist, cfg.n, m, cfg.master_seed, chunk, parities=ps == (2,))
+        ranks = [gf2_ranks(pack_gf2(stack), m).tolist() if p == 2 else [rank_mod_p(a, p) for a in stack] for p in ps]
         return list(zip(*ranks))
 
     return _map_chunks(cfg, m, per_chunk)

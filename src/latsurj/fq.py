@@ -441,6 +441,8 @@ def check_level_set_nesting(mu: FqDistribution, w: Sequence[int], v: float, k: i
     where T(v) = {t : sum_l psi(w_l t) <= v} and psi = 1 - |mu_hat|^2."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if math.isnan(v):
+        raise ValueError(f"level v must be a number, got {v}")
     return _nesting_by_fold(mu.field, _level_function(mu, w), v, k)[-1]
 
 

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from latsurj import cli
+from latsurj import cli, ensembles, experiments
 from latsurj.cli import main
+from latsurj.exact_linalg import IntMatrix, format_matrix
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,6 +43,35 @@ def test_sample_round_trip_determinism(tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "4 6"
+
+
+@pytest.mark.parametrize("law,p", [("uniform01", "2"), ("uniform-1,0,1", "3")])
+def test_sample_trial_replays_a_report_trial(monkeypatch, law, p):
+    # uniform01 draws its chunk through the field table; uniform-1,0,1
+    # rejects fields and draws trial by trial
+    drawn = {}
+
+    def recording(*args, **kwargs):
+        stack = ensembles.sample_iid_stack(*args, **kwargs)
+        drawn.update(zip(args[4], stack))
+        return stack
+
+    monkeypatch.setattr(experiments, "sample_iid_stack", recording)
+    argv = ["experiment", "corank", "--n", "5", "--p", p, "--dist", law, "--trials", "40", "--seed", "8"]
+    assert run_cli([*argv, "--tolerance", "1"])[0] == 0
+    for i in (0, 17, 39):
+        code, out, _ = run_cli(["sample", "--n", "5", "--dist", law, "--seed", "8", "--trial", str(i)])
+        assert code == 0 and out == format_matrix(IntMatrix.from_array(drawn[i].astype(np.int64)))
+
+
+def test_sample_position_flags():
+    default = run_cli(["sample", "--n", "4", "--seed", "9"])
+    assert run_cli(["sample", "--n", "4", "--seed", "9", "--trial", "0", "--attempt", "0"]) == default
+    assert run_cli(["sample", "--n", "4", "--seed", "9", "--attempt", "1"])[1] != default[1]
+    for flag in ("--trial", "--attempt"):
+        code, out, err = run_cli(["sample", "--n", "3", flag, "-1"])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {flag[2:]} must be a non-negative integer, got -1"
 
 
 def test_sample_pipe_certify(tmp_path):
@@ -427,6 +458,14 @@ def test_fourier_check_command():
     )
     assert code == 0
     assert "lo_bound:" in out and "holds=True" in out
+
+
+def test_fourier_check_rejects_a_nan_level():
+    # T(nan) is empty, so the nesting used to hold vacuously
+    argv = ["fourier", "check", "--q", "3", "--mu", "1/2,1/2,0", "--w", "1,1,1", "--r", "0", "--v", "nan"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: level v must be a number, got nan"
 
 
 def test_fourier_check_beyond_q_512():

@@ -12,6 +12,7 @@ from latsurj.ensembles import (
     EnsembleSpec,
     parse_distribution,
     sample_array,
+    sample_iid_stack,
     sparse_bernoulli,
 )
 from latsurj.exact_linalg import IntMatrix
@@ -202,6 +203,8 @@ def test_trial_matrices_recoverable_from_seed():
     # (master_seed, i) matrix taken alone.
     u101 = Distribution.uniform([-1, 0, 1])
     wide = parse_distribution("-3:1/4,0:1/4,256:1/4,257:1/4")
+    d256 = Distribution.uniform(range(-100, 156))
+    d1024 = parse_distribution("0:1001/1024,1:7/1024,2:15/1024,-9:1/1024")
     configs = [
         ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=U01, p=2),
         # negative atoms and atoms of 2^8 and up: the parity buffer is uint8
@@ -210,6 +213,15 @@ def test_trial_matrices_recoverable_from_seed():
         ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, primes=(2, 3), mode="p_restricted"),
         ExperimentConfig(SINGULARITY, n=5, trials=1, master_seed=0, dist=U01, mode="mod_p", p=2),
         ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=u101, u=1, mode="all_primes"),
+        # one atom (d = 1), 8-bit and 16-bit fields of d = 256 and 1024, and
+        # a 5 x 7 matrix, whose 35 fields end inside a word
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=parse_distribution("7:1"), p=2),
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=d256, p=2),
+        ExperimentConfig(CORANK, n=5, trials=1, master_seed=0, dist=d1024, p=2),
+        ExperimentConfig(TRIVIAL, n=5, trials=1, master_seed=0, dist=d1024, u=2, primes=(2, 5), mode="p_restricted"),
+        # rows of one uint64 word and of two
+        ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=U01, u=60, primes=(2,), mode="p_restricted"),
+        ExperimentConfig(TRIVIAL, n=4, trials=1, master_seed=0, dist=U01, u=66, primes=(2,), mode="p_restricted"),
     ]
     runs = [(1, 3, 1), (255, 11, 1), (256, 12, 2), (257, 13, 1), (257, 15, 3), (513, 14, 3)]
     for cfg in configs:
@@ -224,17 +236,25 @@ def test_trial_matrices_recoverable_from_seed():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_drawn_alone_equals_its_draw_in_a_report(monkeypatch, threads):
-    drawn = {}
+    # uniform01 at p = 2 draws parities through the field table; uniform-1,0,1
+    # at p = 3 rejects fields and draws values trial by trial
+    for dist, p in ((U01, 2), (Distribution.uniform([-1, 0, 1]), 3)):
+        drawn = Counter()
+        stacks = {}
 
-    def recording(spec):
-        drawn[spec.trial] = sample_array(spec)
-        return drawn[spec.trial]
+        def recording(law, n, m, seed, trials, parities=False):
+            stack = sample_iid_stack(law, n, m, seed, trials, parities)
+            drawn.update(trials)
+            stacks.update(zip(trials, stack))
+            return stack
 
-    monkeypatch.setattr(experiments, "sample_array", recording)
-    run_experiment(ExperimentConfig(CORANK, n=7, trials=300, master_seed=31, dist=U01, p=2, threads=threads))
-    assert sorted(drawn) == list(range(300))
-    for i in (0, 1, 150, 299):
-        assert (drawn[i] == sample_array(EnsembleSpec("iid_rect", 7, U01, 31, trial=i))).all()
+        monkeypatch.setattr(experiments, "sample_iid_stack", recording)
+        run_experiment(ExperimentConfig(CORANK, n=7, trials=300, master_seed=31, dist=dist, p=p, threads=threads))
+        assert sorted(drawn) == list(range(300)) and set(drawn.values()) == {1}
+        for i in (0, 1, 150, 299):
+            alone = sample_array(EnsembleSpec("iid_rect", 7, dist, 31, trial=i))
+            assert stacks[i].dtype == (np.uint8 if p == 2 else np.int64)
+            assert (stacks[i] == (alone & 1 if p == 2 else alone)).all()
 
 
 def test_corank_packs_each_chunk_once(monkeypatch):

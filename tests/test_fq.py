@@ -429,9 +429,12 @@ def test_level_set_nesting_examples():
     assert check_level_set_nesting(mu, w, 0.8, 1)  # k = 1 trivially
     uniform = FqDistribution.uniform(fld)
     assert check_level_set_nesting(uniform, [1, 1], 1.9, 3)  # T(v) = {0}
-    for v in (0.0, 0.3, 0.9, 2.0):
+    for v in (0.0, 0.3, 0.9, 2.0, math.inf):
         for k in (1, 2, 3):
             assert check_level_set_nesting(mu, w, v, k)
+    # T(nan) is empty, so a NaN level would hold vacuously
+    with pytest.raises(ValueError, match="level v must be a number, got nan"):
+        check_level_set_nesting(mu, w, math.nan, 2)
 
 
 # -- spectrum vs subgroups ------------------------------------------------------

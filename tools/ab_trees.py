@@ -17,8 +17,9 @@ Per tree it prints the median and quartiles over the rounds of the trials
 per second (benchmark/run.py's ops_per_s) and of the round's tail op
 latency per trial (op_ms_p90, by benchmark/harness.py's `tail_percentile`,
 which is the p90 from 100 ops on), then the ratio of the median ops_per_s
-B / A and how many rounds B won; the last line is all of it as one JSON
-object.  A tree or workload that cannot be found makes the exit code 2.
+B / A, how many rounds B won, A's ops_per_s interquartile range over its
+median, and whether B's gain meets the rule of `gain_rule_met`; the last
+line is all of it as one JSON object.  A tree or workload that cannot be found makes the exit code 2.
 Alternating in one process lets drift on a shared host move both trees
 alike, where single benchmark runs cannot resolve changes of 5-25 %.
 """
@@ -110,6 +111,15 @@ def summary(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def gain_rule_met(a: list, b: list) -> bool:
+    """Whether B's ops_per_s rounds show a gain over A's paired rounds: B
+    faster in at least 9 of every 10 (ties count for neither), and B's
+    median above A's by more than A's interquartile range."""
+    wins = sum(y > x for x, y in zip(a, b))
+    spread = summary(a)
+    return 10 * wins >= 9 * len(a) and statistics.median(b) - spread["median"] > spread["q3"] - spread["q1"]
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
@@ -143,9 +153,10 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "prefix": {"ops": trees["A"].wl.prefix, "sha256": digests["A"]},
     }
+    rates = {name: [rate for rate, _ in rounds[name]] for name in "AB"}
     for name in "AB":
         result[name] = {
-            "ops_per_s": summary([rate for rate, _ in rounds[name]]),
+            "ops_per_s": summary(rates[name]),
             "op_ms_p90": summary([p90 for _, p90 in rounds[name]]),
             "rounds": [{"ops_per_s": rate, "op_ms_p90": p90} for rate, p90 in rounds[name]],
         }
@@ -155,8 +166,14 @@ def main(argv=None) -> int:
             f"op_ms_p90 median {p90['median']:.4f} (q1 {p90['q1']:.4f}, q3 {p90['q3']:.4f})"
         )
     result["ratio_b_over_a"] = result["B"]["ops_per_s"]["median"] / result["A"]["ops_per_s"]["median"]
-    result["b_wins"] = sum(b[0] > a[0] for a, b in zip(rounds["A"], rounds["B"]))
-    print(f"B / A ops_per_s {result['ratio_b_over_a']:.3f}, B faster in {result['b_wins']} of {args.rounds} rounds")
+    a_rate = result["A"]["ops_per_s"]
+    result["b_wins"] = sum(b > a for a, b in zip(rates["A"], rates["B"]))
+    result["a_iqr_over_median"] = (a_rate["q3"] - a_rate["q1"]) / a_rate["median"]
+    result["gain_rule_met"] = gain_rule_met(rates["A"], rates["B"])
+    print(
+        f"B / A ops_per_s {result['ratio_b_over_a']:.3f}, B faster in {result['b_wins']} of {args.rounds} rounds, "
+        f"A's IQR / median {result['a_iqr_over_median']:.3f}, gain rule met: {result['gain_rule_met']}"
+    )
     print(json.dumps(result, sort_keys=True))
     return 0
 
