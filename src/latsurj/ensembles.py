@@ -4,14 +4,16 @@ Weights are exact rationals so balance parameters, convolutions, and the
 enumeration oracles in the tests stay exact.  Sampling draws a uniform
 integer digit below the common denominator d (at most 2^63) and maps it
 to the atom whose cumulative weight first exceeds it, so no floating
-point enters the stream.  The map is a table of every digit's value while
-d is at most 2^16 and a binary search above.  Digits come exactly from
-the narrowest 8-, 16-, 32- or 64-bit fields of raw Philox4x64 words that
-hold them, by rejection; a stack of trials whose law never rejects a
-field maps each raw field through one table.  Every draw is a counter
-position: the seed keys the generator, and (stream, trial, attempt) fill
-the high counter words, so trial i of a report is recoverable from
-(master seed, i) alone and parallel experiments are order-independent.
+point enters the stream.  Digits come exactly from the narrowest 8-, 16-,
+32- or 64-bit fields of raw Philox4x64 words that hold them, by
+rejection.  Every draw is a counter position: the seed keys the
+generator, and (stream, trial, attempt) fill the high counter words, so
+trial i of a report is recoverable from (master seed, i) alone and
+parallel experiments are order-independent.  One path serves every
+sampler: each position's raw fields fill one row of a buffer, rejected
+fields are refilled from the same stream, and the whole buffer maps to
+values at once, through a table of every field up to 16 bits and a
+binary search above.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .modp import NonUnitPivot, parts
 
 IID_RECT = "iid_rect"
 SYMMETRIC_PLUS = "symmetric_plus"
-# common denominators up to this draw values from a table indexed by digit
-_TABLE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -86,36 +86,35 @@ class Distribution:
         return math.lcm(*(w.denominator for w in self.weights))
 
     @cached_property
-    def _sampler(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(values, cuts, table) mapping a digit t below the common
-        denominator d to its atom: values[i], where i counts the cuts
-        (cumulative numerators) at most t.  table[t] is that value for
-        every t when d <= _TABLE_LIMIT, and table is None above.  A value
-        of 2^62 or more in absolute value is an OverflowError."""
+    def _sampler(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """(w, values, cuts): the raw field width _field_bits(d) of digits
+        below the common denominator d, and their map to atoms: digit t
+        draws values[i], where i counts the cuts (cumulative numerators) at
+        most t.  A value of 2^62 or more in absolute value is an OverflowError."""
         if any(abs(v) >= 2**62 for v in self.values):
             raise OverflowError("support does not fit the array sampler")
         d = self.common_denominator
         if d > 2**63:
             raise ValueError(f"weight denominator {d} exceeds the sampler's limit of 2^63")
-        values = np.array(self.values, dtype=np.int64)
         cuts = np.cumsum([int(w * d) for w in self.weights[:-1]], dtype=np.int64)
-        table = values[np.searchsorted(cuts, np.arange(d), side="right")] if d <= _TABLE_LIMIT else None
-        return values, cuts, table
+        return _field_bits(d), np.array(self.values, dtype=np.int64), cuts
+
+    def _field_values(self, fields: np.ndarray) -> np.ndarray:
+        """The int64 value of each accepted raw w-bit field: its digit
+        under _accept, mapped to its atom."""
+        w, values, cuts = self._sampler
+        digits = _accept(fields, self.common_denominator, w)[0]
+        return values[np.searchsorted(cuts, digits.astype(np.int64), side="right")]
 
     @cached_property
     def _field_tables(self) -> Tuple[np.ndarray, np.ndarray] | None:
-        """(values, parities) of every raw w-bit field when w <= 16 and no
-        field is ever rejected (d divides 2^w): the int64 value each field
-        draws under _accept and the digit table, and its low bit as uint8.
-        None for every other law."""
-        d = self.common_denominator
-        w = _field_bits(d)
+        """(values, parities) of every raw w-bit field when w <= 16: the
+        int64 value each field draws and its low bit as uint8.  None for
+        wider fields."""
+        w = self._sampler[0]
         if w > 16:
             return None
-        digits, accepted = _accept(np.arange(2**w, dtype=f"u{w // 8}"), d, w)
-        if accepted is not None:
-            return None
-        values = self._sampler[2].take(digits)
+        values = self._field_values(np.arange(2**w, dtype=f"u{w // 8}"))
         return values, (values & 1).astype(np.uint8)
 
     def literal(self) -> str:
@@ -275,12 +274,6 @@ def _field_bits(d: int) -> int:
     return 8 if bits <= 8 else 16 if bits <= 16 else 32 if bits <= 32 else 64
 
 
-def _fields(bits: np.random.Philox, w: int, count: int) -> np.ndarray:
-    """The next `count` w-bit fields of the stream, little-endian within each word."""
-    words = bits.random_raw(-(-count * w // 64)).astype("<u8", copy=False)
-    return words.view(f"<u{w // 8}")[:count]
-
-
 def _accept(fields: np.ndarray, d: int, w: int) -> Tuple[np.ndarray, np.ndarray | None]:
     """(digits, accepted) of w-bit fields under the exact rule below d;
     accepted is None when d divides 2^w and every field is accepted.
@@ -300,30 +293,38 @@ def _accept(fields: np.ndarray, d: int, w: int) -> Tuple[np.ndarray, np.ndarray 
     return m >> w, m.astype(fields.dtype) >= threshold
 
 
-def _digits(bits: np.random.Philox, d: int, count: int) -> np.ndarray:
-    """`count` uniform digits below d.  Rejected positions are refilled in
-    order by the accepted fields of further draws from the same stream."""
-    w = _field_bits(d)
-    digits, accepted = _accept(_fields(bits, w, count), d, w)
-    if accepted is None:
-        return digits
-    redraw = np.flatnonzero(~accepted)
-    while redraw.size:
-        more, ok = _accept(_fields(bits, w, 2 * redraw.size + 8), d, w)
-        more = more[ok][: redraw.size]
-        digits[redraw[: more.size]] = more
-        redraw = redraw[more.size :]
-    return digits
+def _draw(dist: Distribution, count: int, seed: int, positions: Sequence[tuple], parities: bool = False) -> np.ndarray:
+    """The `count` draws of dist at each stream position (stream, trial,
+    attempt) of `positions`, one row each: int64 values, or parities as uint8.
 
-
-def _draw_values(dist: Distribution, count: int, bits: np.random.Philox) -> np.ndarray:
-    """Exact sampling: uniform digits below the common denominator, each
-    mapped to its value by table or by cumulative numerator."""
-    values, cuts, table = dist._sampler
-    digits = _digits(bits, dist.common_denominator, count)
-    if table is not None:
-        return table.take(digits)
-    return values[np.searchsorted(cuts, digits.astype(np.int64), side="right")]
+    Each position reads its ceil(count * w / 64) raw words into one row of a
+    buffer of w-bit fields, little-endian within each word; when d does not
+    divide 2^w, the row's rejected fields are refilled in order by the
+    accepted fields of further words of the same stream.  The whole buffer
+    then maps to values at once: through the field tables up to 16 bits, by
+    digit and binary search above."""
+    d = dist.common_denominator
+    w = dist._sampler[0]
+    rejects = 2**w % d
+    words = np.empty((len(positions), -(-count * w // 64)), dtype="<u8")
+    fields = words.view(f"<u{w // 8}")[:, :count]
+    for k, position in enumerate(positions):
+        bits = _stream(seed, *position)
+        words[k] = bits.random_raw(words.shape[1])
+        if not rejects:
+            continue
+        redraw = np.flatnonzero(~_accept(fields[k], d, w)[1])
+        while redraw.size:
+            size = 2 * redraw.size + 8
+            more = bits.random_raw(-(-size * w // 64)).astype("<u8", copy=False).view(f"<u{w // 8}")[:size]
+            more = more[_accept(more, d, w)[1]][: redraw.size]
+            fields[k, redraw[: more.size]] = more
+            redraw = redraw[more.size :]
+    tables = dist._field_tables
+    if tables is not None:
+        return tables[1 if parities else 0].take(fields)
+    values = dist._field_values(fields)
+    return (values & 1).astype(np.uint8) if parities else values
 
 
 @dataclass(frozen=True)
@@ -371,43 +372,29 @@ class EnsembleSpec:
 
 def sample_array(spec: EnsembleSpec) -> np.ndarray:
     """Sampled matrix as an int64 array; deterministic in (spec, seed, trial, attempt)."""
-    bits = _stream(spec.seed, MATRIX_STREAM, spec.trial, spec.attempt)
     n, m = spec.shape
+    position = [(MATRIX_STREAM, spec.trial, spec.attempt)]
     if spec.kind == IID_RECT:
-        return _draw_values(spec.dist, n * m, bits).reshape(n, m)
+        return _draw(spec.dist, n * m, spec.seed, position)[0].reshape(n, m)
     tri_count = n * (n + 1) // 2
-    extra_count = n * spec.u
-    draws = _draw_values(spec.dist, tri_count + extra_count, bits)
+    draws = _draw(spec.dist, tri_count + n * spec.u, spec.seed, position)[0]
     out = np.empty((n, m), dtype=np.int64)
     iu = np.triu_indices(n)
-    sym = np.empty((n, n), dtype=np.int64)
+    sym = out[:, :n]
     sym[iu] = draws[:tri_count]
     sym.T[iu] = draws[:tri_count]
-    out[:, :n] = sym
-    if spec.u:
-        out[:, n:] = draws[tri_count:].reshape(n, spec.u)
+    out[:, n:] = draws[tri_count:].reshape(n, spec.u)
     return out
 
 
 def sample_iid_stack(dist: Distribution, n: int, m: int, seed: int, trials: range, parities: bool = False) -> np.ndarray:
     """The n x m iid matrices of `trials` at attempt 0 as one (len(trials),
     n, m) array: int64 values, or their parities as uint8.  Slice k equals
-    sample_array of EnsembleSpec(IID_RECT, n, dist, seed, m=m, trial=trials[k]).
-    A law whose fields are never rejected reads each trial's raw words at its
-    own stream position into one buffer and maps every field through one
-    table; any other law draws trial by trial."""
+    sample_array of EnsembleSpec(IID_RECT, n, dist, seed, m=m, trial=trials[k]):
+    each trial reads its own stream position into one row of the draw's
+    buffer, and the whole stack maps to values at once."""
     check_position(seed, min(trials, default=0), 0)
-    tables = dist._field_tables
-    if tables is None:
-        values = np.stack([_draw_values(dist, n * m, _stream(seed, MATRIX_STREAM, i, 0)) for i in trials])
-        out = (values & 1).astype(np.uint8) if parities else values
-    else:
-        w = _field_bits(dist.common_denominator)
-        words = np.empty((len(trials), -(-n * m * w // 64)), dtype="<u8")
-        for k, i in enumerate(trials):
-            words[k] = _stream(seed, MATRIX_STREAM, i, 0).random_raw(words.shape[1])
-        out = tables[1 if parities else 0].take(words.view(f"<u{w // 8}")[:, : n * m])
-    return out.reshape(len(trials), n, m)
+    return _draw(dist, n * m, seed, [(MATRIX_STREAM, i, 0) for i in trials], parities).reshape(len(trials), n, m)
 
 
 def sample_matrix(spec: EnsembleSpec) -> IntMatrix:
@@ -419,4 +406,4 @@ def sample_columns(dist: Distribution, n: int, count: int, seed: int, trial: int
     """`count` fresh iid columns of height n, drawn column by column from
     stream 1 + batch of (seed, trial, attempt), as an (n, count) block."""
     check_position(seed, trial, attempt)
-    return _draw_values(dist, n * count, _stream(seed, MATRIX_STREAM + 1 + batch, trial, attempt)).reshape(count, n).T
+    return _draw(dist, n * count, seed, [(MATRIX_STREAM + 1 + batch, trial, attempt)])[0].reshape(count, n).T

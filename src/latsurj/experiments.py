@@ -207,7 +207,9 @@ def _map_chunks(cfg: ExperimentConfig, m: int, per_chunk: Callable[[range], List
     there are CPUs or chunks."""
     size = max(1, min(_CHUNK_TRIALS, _STACK_BYTES // (8 * cfg.n * m), math.ceil(cfg.trials / cfg.threads)))
     chunks = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
-    workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
+    workers = min(cfg.threads, len(chunks))
+    if workers > 1:  # the CPU count is read only when threads could start
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         parts = [per_chunk(chunk) for chunk in chunks]
     else:

@@ -36,29 +36,29 @@ from .exact_linalg import det  # noqa: F401
 CAP_FACTOR = 10
 
 
-def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
-    """ceil(B log n / (alpha * d_prev)), never below 1."""
-    if d_prev < 1:
-        raise ValueError("d_prev must be at least 1")
+def _checked_alpha(alpha: Fraction | float, b: float) -> float:
+    """alpha as a float, once the schedule's alpha > 0 and B > 0 are checked."""
     a = float(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
     if not b > 0:
         raise ValueError(f"B must be positive, got {b}")
-    return max(1, math.ceil(b * math.log(n) / (a * d_prev)))
+    return a
+
+
+def batch_size(n: int, alpha: Fraction | float, b: float, d_prev: int) -> int:
+    """ceil(B log n / (alpha * d_prev)), never below 1."""
+    if d_prev < 1:
+        raise ValueError("d_prev must be at least 1")
+    return max(1, math.ceil(b * math.log(n) / (_checked_alpha(alpha, b) * d_prev)))
 
 
 def u_budget(n: int, alpha: Fraction | float, b: float) -> int:
     """Extra-column budget floor(B * ((log n / alpha) * log(log n / alpha) + log n))."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    a = float(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
-    if not b > 0:
-        raise ValueError(f"B must be positive, got {b}")
     ln = math.log(n)
-    ratio = ln / a
+    ratio = ln / _checked_alpha(alpha, b)
     return math.floor(b * (ratio * math.log(ratio) + ln))
 
 

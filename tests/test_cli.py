@@ -47,8 +47,8 @@ def test_sample_round_trip_determinism(tmp_path):
 
 @pytest.mark.parametrize("law,p", [("uniform01", "2"), ("uniform-1,0,1", "3")])
 def test_sample_trial_replays_a_report_trial(monkeypatch, law, p):
-    # uniform01 draws its chunk through the field table; uniform-1,0,1
-    # rejects fields and draws trial by trial
+    # uniform01 never rejects a field; uniform-1,0,1 rejects and refills
+    # fields within each trial's row of the chunk's draw
     drawn = {}
 
     def recording(*args, **kwargs):
@@ -62,6 +62,47 @@ def test_sample_trial_replays_a_report_trial(monkeypatch, law, p):
     for i in (0, 17, 39):
         code, out, _ = run_cli(["sample", "--n", "5", "--dist", law, "--seed", "8", "--trial", str(i)])
         assert code == 0 and out == format_matrix(IntMatrix.from_array(drawn[i].astype(np.int64)))
+
+
+@pytest.mark.parametrize(
+    "experiment, flags, sample_flags",
+    [
+        (
+            "trivial",
+            ["--u", "2", "--mode", "all_primes", "--dist", "bernoulli(1/10)", "--tolerance", "1"],
+            ["--m", "7", "--dist", "bernoulli(1/10)"],
+        ),
+        ("singularity", ["--mode", "det", "--dist", "uniform-1,0,1"], ["--dist", "uniform-1,0,1"]),
+        ("symmetric", ["--u", "2"], ["--kind", "symmetric_plus", "--u", "2"]),
+        ("exposure", ["--dist", "uniform-1,0,1"], ["--dist", "uniform-1,0,1"]),
+    ],
+)
+def test_sample_replays_every_runners_matrices(monkeypatch, experiment, flags, sample_flags):
+    # every runner draws trial i at the stream position (seed, i, attempt), so
+    # `latsurj sample` with the matching flags prints the matrix it drew;
+    # exposure starts at the attempt its report lists for the trial
+    drawn = {}
+
+    def recording(draw):
+        def wrapped(spec):
+            out = draw(spec)
+            drawn[spec.trial, spec.attempt] = out if isinstance(out, IntMatrix) else IntMatrix.from_array(out)
+            return out
+
+        return wrapped
+
+    for name in ("sample_matrix", "sample_array"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    argv = ["experiment", experiment, "--n", "5", *flags, "--trials", "30", "--seed", "6"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    attempts = json.loads(out).get("attempts", [0] * 30)
+    checked = {0, 29} | {i for i, a in enumerate(attempts) if a}
+    assert experiment != "exposure" or len(checked) > 2
+    for i in sorted(checked)[:6]:
+        position = ["--seed", "6", "--trial", str(i), "--attempt", str(attempts[i])]
+        code, out, _ = run_cli(["sample", "--n", "5", *sample_flags, *position])
+        assert code == 0 and out == format_matrix(drawn[i, attempts[i]])
 
 
 def test_sample_position_flags():

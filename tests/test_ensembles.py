@@ -168,18 +168,32 @@ def test_sampling_respects_negative_values():
     assert vals <= {-1, 0, 1}
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
 # sha256 prefixes of the little-endian int64 bytes of sample_array, computed
 # with a binary search over the cumulative numerators for every denominator:
-# the digit table must reproduce that stream, and any change of stream shows
+# every field width and map must reproduce that stream, and any change of
+# stream shows
 SAMPLE_DIGESTS = [
     ("iid_rect", 30, "uniform01", 11, {"m": 31}, "a66de04af93d72b9"),
     ("iid_rect", 30, "bernoulli(1/10)", 12, {"m": 33}, "b517c85a81fa025e"),
     ("iid_rect", 30, "uniform-1,0,1", 13, {"m": 30}, "82e3d70725fd02c2"),
     ("symmetric_plus", 25, "uniform-1,0,1", 14, {"u": 2}, "b8ac32b630a07ad5"),
-    # denominator 2^16 + 1, just above the table limit
+    # denominator 2^16 + 1, the narrowest that reads 32-bit fields
     ("iid_rect", 20, "-2:21845/65537,0:21846/65537,3:21846/65537", 15, {"m": 21}, "f4d396c2cf6e605a"),
-    # denominator 2^16, exactly at the table limit
+    # denominator 2^16, the widest that reads 16-bit fields
     ("iid_rect", 20, "-1:21845/65536,0:21845/65536,5:21846/65536", 16, {"m": 21}, "4fb2d16fdde9f7d6"),
+    # 64-bit fields: a prime denominator just above 2^32, and 3 * 2^61, which
+    # rejects a quarter of its fields
+    ("iid_rect", 20, "0:2147483655/4294967311,1:2147483656/4294967311", 17, {"m": 21}, "d2cd07f2cfbd9d80"),
+    ("iid_rect", 20, f"0:{2**61 + 3}/{3 * 2**61},1:{2**62 - 3}/{3 * 2**61}", 18, {"m": 21}, "8770a151bc07f2d5"),
+    # 32-bit fields, a quarter rejected
+    ("iid_rect", 20, f"0:{2**30 + 1}/{3 * 2**30},1:{2**31 - 1}/{3 * 2**30}", 19, {"m": 21}, "e57666ea25f623d7"),
+    # 16-bit fields below d = 1000, 536 of 65536 rejected
+    ("iid_rect", 20, "-1:333/1000,0:333/1000,4:334/1000", 20, {"m": 21}, "da740045c04248e9"),
+    ("symmetric_plus", 20, "-1:333/1000,0:333/1000,4:334/1000", 21, {"u": 3}, "fda3f4dbd1450ca5"),
 ]
 
 
@@ -188,7 +202,20 @@ def test_sample_stream_is_pinned(kind, n, literal, seed, shape, digest):
     dist = parse_distribution(literal)
     a = sample_array(EnsembleSpec(kind, n, dist, seed, **shape))
     assert set(a.ravel().tolist()) == set(dist.values)
-    assert hashlib.sha256(a.astype("<i8").tobytes()).hexdigest()[:16] == digest
+    assert _digest(a.astype("<i8")) == digest
+
+
+def test_column_and_stack_streams_are_pinned():
+    # bernoulli(1/10) rejects 6 of every 256 byte fields; its column batches
+    # and trial stacks keep the stream pinned as sample_array's is
+    law = parse_distribution("bernoulli(1/10)")
+    assert _digest(sample_columns(law, 30, 7, 18, 2, 1, 3).astype("<i8")) == "a908f1d32b3c744a"
+    stack = ensembles.sample_iid_stack(law, 30, 31, 19, range(3, 7))
+    assert _digest(stack.astype("<i8")) == "7b680c27db37805b"
+    parities = ensembles.sample_iid_stack(law, 30, 31, 19, range(3, 7), parities=True)
+    assert parities.dtype == np.uint8 and _digest(parities) == "66bb1611f50da5b2"
+    wide = parse_distribution(f"0:{2**30 + 1}/{3 * 2**30},1:{2**31 - 1}/{3 * 2**30}")
+    assert _digest(ensembles.sample_iid_stack(wide, 10, 11, 22, range(5, 8), parities=True)) == "9ad60e59bd670fa0"
 
 
 def test_weight_denominator_limit():

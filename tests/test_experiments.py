@@ -236,8 +236,8 @@ def test_trial_matrices_recoverable_from_seed():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_drawn_alone_equals_its_draw_in_a_report(monkeypatch, threads):
-    # uniform01 at p = 2 draws parities through the field table; uniform-1,0,1
-    # at p = 3 rejects fields and draws values trial by trial
+    # uniform01 at p = 2 draws parities; uniform-1,0,1 at p = 3 rejects and
+    # refills fields and draws values; both through the one draw path
     for dist, p in ((U01, 2), (Distribution.uniform([-1, 0, 1]), 3)):
         drawn = Counter()
         stacks = {}
@@ -303,6 +303,17 @@ def test_worker_threads_are_capped_by_cpus_and_chunks(monkeypatch, threads, tria
     report = run_experiment(cfg)
     assert made == ([] if workers is None else [workers])
     assert report.canonical_json() == run_experiment(replace(cfg, threads=1)).canonical_json()
+
+
+@pytest.mark.parametrize("threads,trials", [(1, 300), (4, 1)])
+def test_cpu_count_is_read_only_when_threads_could_start(monkeypatch, threads, trials):
+    # one thread, or one chunk, runs in the calling thread whatever the CPUs
+    def unread():
+        raise AssertionError("os.cpu_count read")
+
+    monkeypatch.setattr(experiments.os, "cpu_count", unread)
+    cfg = ExperimentConfig(CORANK, n=3, trials=trials, master_seed=4, dist=U01, p=2, threads=threads)
+    assert sum(o.count for o in run_experiment(cfg).outcomes) == trials
 
 
 def test_report_hashes_its_seed_a_constant_number_of_times(monkeypatch):

@@ -19,12 +19,18 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def _functions(tree):
+    # every function of a tree, methods and nested functions included,
+    # top-level ones first
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
 def _called_names(module, function=None):
-    # names called in a module, or in one of its top-level functions, by
-    # name or through a module attribute
+    # names called in a module, or in one of its functions, by name or
+    # through a module attribute
     tree = ast.parse((SRC / module).read_text())
     if function is not None:
-        tree = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+        tree = next(node for node in _functions(tree) if node.name == function)
     called = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -65,6 +71,16 @@ def test_decider_takes_no_minors_one_at_a_time():
     called = _called_names("certifier.py", "is_surjective")
     assert "adjugate_rows" in called
     assert not called & {"crt_solve", "_minors", "det"}
+
+
+def test_one_draw_path():
+    # every sampler reads the Philox stream through ensembles._draw, so a
+    # second draw path cannot come back without calling _stream elsewhere
+    modules = [path.name for path in sorted(SRC.glob("*.py")) if "_stream" in _called_names(path.name)]
+    assert modules == ["ensembles.py"]
+    functions = {node.name for node in _functions(ast.parse((SRC / "ensembles.py").read_text()))}
+    assert "_draw" in functions
+    assert {name for name in functions if "_stream" in _called_names("ensembles.py", name)} == {"_draw"}
 
 
 def _is_modular_inverse(node):
