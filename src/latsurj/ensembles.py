@@ -101,9 +101,9 @@ class Distribution:
 
     def _field_values(self, fields: np.ndarray) -> np.ndarray:
         """The int64 value of each accepted raw w-bit field: its digit
-        under _accept, mapped to its atom."""
+        under _digits, mapped to its atom."""
         w, values, cuts = self._sampler
-        digits = _accept(fields, self.common_denominator, w)[0]
+        digits = _digits(fields, self.common_denominator, w)
         return values[np.searchsorted(cuts, digits.astype(np.int64), side="right")]
 
     @cached_property
@@ -274,23 +274,32 @@ def _field_bits(d: int) -> int:
     return 8 if bits <= 8 else 16 if bits <= 16 else 32 if bits <= 32 else 64
 
 
-def _accept(fields: np.ndarray, d: int, w: int) -> Tuple[np.ndarray, np.ndarray | None]:
-    """(digits, accepted) of w-bit fields under the exact rule below d;
-    accepted is None when d divides 2^w and every field is accepted.
+def _accepted(fields: np.ndarray, d: int, w: int) -> np.ndarray | None:
+    """Which w-bit fields the exact rule below d accepts; None when d
+    divides 2^w and every field is accepted.
 
-    Up to 32 bits this is Lemire's multiply-shift (ACM TOMACS 2019): with
-    m = u*d, a field is accepted unless m mod 2^w < 2^w mod d, and its
-    digit is m >> w, so every digit has exactly floor(2^w / d) accepted
-    fields.  64-bit fields are accepted below the largest multiple of d
-    at most 2^64, and their digit is u mod d."""
+    Up to 32 bits this is Lemire's multiply-shift (ACM TOMACS 2019): a
+    field u is accepted unless u*d mod 2^w < 2^w mod d, and its digit
+    (:func:`_digits`) is u*d >> w, so every digit has exactly
+    floor(2^w / d) accepted fields.  64-bit fields are accepted below the
+    largest multiple of d at most 2^64, and their digit is u mod d."""
     if w == 64:
         limit = 2**64 - 2**64 % d
-        return fields % np.uint64(d), fields < np.uint64(limit) if limit < 2**64 else None
+        return fields < np.uint64(limit) if limit < 2**64 else None
     threshold = 2**w % d
-    if not threshold:  # d = 2^k: m >> w is u >> (w - k)
-        return fields >> (w + 1 - d.bit_length()), None
-    m = fields.astype(f"u{w // 4}") * d
-    return m >> w, m.astype(fields.dtype) >= threshold
+    if not threshold:
+        return None
+    # d < 2^w here, and the product wraps mod 2^w in the fields' own type
+    return fields * fields.dtype.type(d) >= threshold
+
+
+def _digits(fields: np.ndarray, d: int, w: int) -> np.ndarray:
+    """The digit below d of each w-bit field that :func:`_accepted` accepts."""
+    if w == 64:
+        return fields % np.uint64(d)
+    if not 2**w % d:  # d = 2^k: u*d >> w is u >> (w - k)
+        return fields >> (w + 1 - d.bit_length())
+    return fields.astype(f"u{w // 4}") * d >> w
 
 
 def _draw(dist: Distribution, count: int, seed: int, positions: Sequence[tuple], parities: bool = False) -> np.ndarray:
@@ -313,11 +322,11 @@ def _draw(dist: Distribution, count: int, seed: int, positions: Sequence[tuple],
         words[k] = bits.random_raw(words.shape[1])
         if not rejects:
             continue
-        redraw = np.flatnonzero(~_accept(fields[k], d, w)[1])
+        redraw = np.flatnonzero(~_accepted(fields[k], d, w))
         while redraw.size:
             size = 2 * redraw.size + 8
             more = bits.random_raw(-(-size * w // 64)).astype("<u8", copy=False).view(f"<u{w // 8}")[:size]
-            more = more[_accept(more, d, w)[1]][: redraw.size]
+            more = more[_accepted(more, d, w)][: redraw.size]
             fields[k, redraw[: more.size]] = more
             redraw = redraw[more.size :]
     tables = dist._field_tables

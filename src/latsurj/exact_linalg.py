@@ -1,10 +1,12 @@
 """Arbitrary-precision integer matrix algebra.
 
-Provides the immutable :class:`IntMatrix` over one read-only ndarray,
-one exact solve by CRT, :func:`crt_solve`, which gives det A and
-det A * A^-1 B of integer blocks [A | B] over enough word-size primes for
-their product to pass twice the row-norm Hadamard bound of the block, and
-alone stacks the (block, prime) slices for :func:`latsurj.modp.det_solve`;
+Provides the immutable :class:`IntMatrix` over one read-only ndarray and
+its text format, read in one numeric pass where numpy reads every token
+as int() does; one exact solve by CRT, :func:`crt_solve`, which gives
+det A and det A * A^-1 B of integer blocks [A | B] over enough word-size
+primes for their product to pass twice the row-norm Hadamard bound of
+the block, alone stacks the (block, prime) slices for
+:func:`latsurj.modp.det_solve`, and lifts their residues by one CRT sum;
 determinants and a few rows of the adjugate are its thin callers.  Also
 Smith normal form with unimodular transforms, and cokernel structure
 extraction.
@@ -106,6 +108,14 @@ def format_matrix(m: IntMatrix) -> str:
 
 
 def parse_matrix(text: str) -> IntMatrix:
+    numbers = _read_numbers(text)
+    if numbers is None:
+        return _parse_tokens(text)
+    return IntMatrix(int(numbers[0]), int(numbers[1]), numbers[2:-1])
+
+
+def _parse_tokens(text: str) -> IntMatrix:
+    """The text format token by token, for every text _read_numbers leaves."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix text must start with 'rows cols'")
@@ -118,6 +128,32 @@ def parse_matrix(text: str) -> IntMatrix:
     except (ValueError, OverflowError):  # past int64, or not an int: int() decides
         entries = int_array([int(t) for t in body])
     return IntMatrix(rows, cols, entries)
+
+
+def _read_numbers(text: str) -> np.ndarray | None:
+    """"rows cols" and the entries of a matrix text read by numpy in one
+    pass, then a sentinel 0; None unless that pass read each token as one
+    int64, as int() reads it, and exactly rows * cols entries.
+
+    numpy stops at a token it cannot read (a float, an underscore, a
+    non-ASCII digit, a NUL byte): it raises ValueError, or in older
+    releases warns (DeprecationWarning, an error under -W error) and keeps
+    what it read, which the count of tokens rejects.  That count also
+    rejects a sign that numpy joins to the digits after whitespace.  numpy
+    saturates past int64, hence no entry at either int64 limit.
+    _parse_tokens decides every rejected text, with its own values, dtype
+    and errors."""
+    try:
+        numbers = np.fromstring(text + " 0", dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if numbers.size < 3 or numbers[-1] != 0 or numbers[0] < 0 or numbers[1] < 0:
+        return None
+    if numbers.size != int(numbers[0]) * int(numbers[1]) + 3 or numbers.size != len(text.split()) + 1:
+        return None
+    if numbers.max() == 2**63 - 1 or numbers.min() == -(2**63):
+        return None
+    return numbers
 
 
 # -- determinants ------------------------------------------------------
@@ -200,18 +236,15 @@ def crt_solve(blocks: Sequence, first_row: int = 0) -> List[Tuple[int, np.ndarra
 
 def _lift(primes: Sequence[int], residues):
     """The x with |x| < prod(primes) / 2 and x = residues[t] mod primes[t];
-    residues may also be arrays in [0, primes[t]), lifted entrywise.  The
-    Garner digits v_t of x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) are found in
-    the residues' type (int64 for primes below 2^31), joined in Python ints."""
-    digits = []
-    for t, (p, r) in enumerate(zip(primes, residues)):
-        s = 0  # the digits so far mod p, by Horner's rule
-        for q, v in zip(reversed(primes[:t]), reversed(digits)):
-            s = (s * q + v) % p
-        digits.append((r - s) * pow(math.prod(primes[:t]) % p, -1, p) % p)
-    x, modulus = 0, math.prod(primes)
-    for p, v in zip(primes[::-1], digits[::-1]):
-        x = x * p + (v.astype(object) if isinstance(v, np.ndarray) else v)
+    residues may also be int64 arrays in [0, primes[t]), lifted entrywise
+    into an object array.  One CRT sum in Python ints: with M the product,
+    x = sum_t r_t * (M / p_t) * ((M / p_t)^-1 mod p_t) mod M, centred."""
+    modulus = math.prod(primes)
+    x = 0
+    for p, r in zip(primes, residues):
+        cofactor = modulus // p
+        basis = cofactor * pow(cofactor % p, -1, p)
+        x = x + (r.astype(object) if isinstance(r, np.ndarray) else r) * basis
     return (x + modulus // 2) % modulus - modulus // 2
 
 

@@ -13,8 +13,9 @@ the modulus.  :func:`parts` then splits the modulus by gcds and settles
 each part on its own (dynamic evaluation, the D5 principle of Della
 Dora, Dicrescenzo and Duval), so that no caller factors an integer.
 Determinants mod p come from one stacked kernel, :func:`det_solve`: it
-eliminates a (k, n, n + s) stack [A | B], one prime per slice, in steps
-of one column or two (a 2 x 2 pivot block), and back-substitutes over
+eliminates a (k, n, n + s) int64 stack [A | B], one prime below 2^31 per
+slice, in steps of one column or two (a 2 x 2 pivot block), each writing
+its trailing block to a fresh contiguous array, and back-substitutes over
 the same groups of rows for det A * A^-1 B, the exact solve
 :func:`latsurj.exact_linalg.crt_solve` lifts.  Both kernels count the
 products a trailing block takes unreduced.  Stacks mod 2 have their own
@@ -193,22 +194,24 @@ def det_solve(stack, primes: Sequence[int], first_row: int = 0) -> Tuple[np.ndar
     the largest prime (:func:`_lazy_products`).  With s > 0 the pivot rows
     from first_row on are kept for one back-substitution over the same
     groups of rows, counted alike, that stops at row first_row.  A slice
-    with det 0 mod p solves to 0.  Slices are int64 while every prime is
-    below 2^31, Python ints beyond.
+    with det 0 mod p solves to 0.  Slices are int64, so every prime lies
+    below 2^31; a larger one is a ValueError.
     """
     primes = [operator.index(p) for p in primes]
     top = max(primes, default=2)
-    word = top < _WORD_LIMIT
+    if top >= _WORD_LIMIT:
+        raise ValueError(f"det_solve needs primes below 2^31, got {top}")
     a = int_array(stack)
     if a.ndim != 3 or a.shape[0] != len(primes) or a.shape[2] < a.shape[1]:
         raise ValueError("need a (k, n, n + s) stack and one prime per slice")
     first_row = operator.index(first_row)
     if not 0 <= first_row <= a.shape[1]:
         raise ValueError("first_row must lie in [0, n]")
-    q = np.array(primes, dtype=np.int64 if word else object)
+    q = np.array(primes, dtype=np.int64)
     qs = q[:, None, None]
-    # e is the trailing block: each step drops its first rows and columns
-    e = _residues(a, qs, q.dtype)
+    # e is the trailing block: each step writes the next one, a fresh
+    # contiguous array without the step's rows and columns
+    e = _residues(a, qs, np.int64)
     k, n, width = e.shape
     lazy = _lazy_products(top)
     slices = np.arange(k)
@@ -255,10 +258,13 @@ def det_solve(stack, primes: Sequence[int], first_row: int = 0) -> Tuple[np.ndar
         if solve and c >= first_row:
             u[:, c - first_row : c - first_row + step, c + step :] = rows
             groups.append((c, step))
-        e = e[:, step:, step:]
+        # the next trailing block is a fresh array: the due reduction writes
+        # it, or else the first column's update
         if count + step > lazy:
-            e, count = e % qs, 0
-        for j in range(step):
+            e, count, done = e[:, step:, step:] % qs, 0, 0
+        else:
+            e, done = e[:, step:, step:] - head[:, step:, 0, None] * rows[:, 0, None, :], 1
+        for j in range(done, step):
             e -= head[:, step:, j, None] * rows[:, j, None, :]
         count += step
         c += step

@@ -157,27 +157,66 @@ def residue_distributions(p: int, max_den: int) -> List[Tuple[Fraction, ...]]:
     return out
 
 
-def odlyzko_violations(p: int, n_max: int, max_den: int) -> List[dict]:
-    """Exhaustive check of P(X in H) <= (1-alpha)^(n-dim H).
+def law_numerators(laws: Sequence[Sequence[Fraction]]) -> Tuple[np.ndarray, int]:
+    """(W, D): W[law, r] = laws[law][r] * D as an int64 array, over the
+    least common denominator D of every weight."""
+    den = math.lcm(*(w.denominator for law in laws for w in law))
+    return np.array([[int(w * den) for w in law] for law in laws], dtype=np.int64).reshape(len(laws), -1), den
 
-    Exact rational arithmetic throughout; the subspace mass is computed by
-    element enumeration and spot-agreement with support^n enumeration is
-    asserted separately in the tests.
+
+def subspace_masses(p: int, basis: Sequence[Sequence[int]], n: int, numerators: np.ndarray) -> List[int]:
+    """D^n P(X in H) for every law at once, in integers: the sum over H's
+    elements of prod_i numerators[law, x_i].  H's elements are the
+    coefficient vectors over F_p times the basis; int64 throughout, so
+    p^n D^n must stay below 2^63."""
+    d = len(basis)
+    coefficients = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64).reshape(p**d, d)
+    elements = coefficients @ np.array(basis, dtype=np.int64).reshape(d, n) % p
+    return numerators[:, elements].prod(axis=2).sum(axis=1).tolist()
+
+
+def odlyzko_violations(p: int, n_max: int, max_den: int, tighten: int = 0) -> List[dict]:
+    """Exhaustive check of P(X in H) <= (1-alpha)^(n - dim H + tighten).
+
+    Every law of residue_distributions(p, max_den) is scaled to integer
+    numerators W over D, with top its largest; then the bound reads
+    D^n P(X in H) <= top^(n-d+tighten) D^(d-tighten), exactly in int64,
+    for each subspace H of dimension d >= 1 and all laws at once.  tighten
+    = 1 plants violations; the Fraction version below must find the same.
     """
+    laws = residue_distributions(p, max_den)
+    numerators, den = law_numerators(laws)
+    if (p * den) ** n_max >= 2**63:
+        raise ValueError("p^n D^n must stay below 2^63")
+    tops = numerators.max(axis=1)
+    violations = []
+    for n in range(1, n_max + 1):
+        for basis in iter_subspaces(p, n):
+            d = len(basis)
+            if d == 0:
+                continue  # the bound is stated for dim >= 1
+            bounds = (tops ** (n - d + tighten) * den ** (d - tighten)).tolist()
+            masses = subspace_masses(p, basis, n, numerators)
+            for weights, mass, bound in zip(laws, masses, bounds):
+                if mass > bound:
+                    violations.append({"p": p, "n": n, "basis": basis, "weights": weights})
+    return violations
+
+
+def odlyzko_violations_by_fractions(p: int, n_max: int, max_den: int, tighten: int = 0) -> List[dict]:
+    """The same check in Fractions, one law and one subspace at a time, by
+    subspace_mass; the independent check of odlyzko_violations."""
     violations = []
     dists = residue_distributions(p, max_den)
     for n in range(1, n_max + 1):
         for basis in iter_subspaces(p, n):
             d = len(basis)
             if d == 0:
-                continue  # the bound is stated for dim >= 1
+                continue
             for weights in dists:
-                alpha = 1 - max(weights)
                 mass = subspace_mass(p, basis, n, weights)
-                if mass > (1 - alpha) ** (n - d):
-                    violations.append(
-                        {"p": p, "n": n, "basis": basis, "weights": weights}
-                    )
+                if mass > max(weights) ** (n - d + tighten):
+                    violations.append({"p": p, "n": n, "basis": basis, "weights": weights})
     return violations
 
 

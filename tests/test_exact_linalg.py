@@ -124,11 +124,29 @@ def _parsed(parse, text):
     "text",
     [f"1 2\n{t} 7\n" for t in ("+5", "1_0", "\u0663", "\uff11", str(2**63 - 1), str(-(2**63 - 1)),
                                 str(-(2**63)), str(2**63), str(-(2**63) - 1), "1.0", "0x10")]
-    + ["2 2\n1 2 3\n", "1 1\n1 2\n", "0 0\n", "0 0\n5\n", "3\n", "2 1\n-0\n 9 \n"],
+    + ["2 2\n1 2 3\n", "1 1\n1 2\n", "0 0\n", "0 0\n5\n", "3\n", "2 1\n-0\n 9 \n"]
+    # a malformed last token, a NUL byte inside a token, an underscore in a
+    # dimension, negative dimensions, a product of dimensions past int64,
+    # and signs apart from their digits, which numpy joins to them
+    + ["1 2\n7 3.5\n", "1 2\n1\x002 7\n", "1_0 1\n" + "3 " * 10, "-1 -2\n1 2\n", "-1 2\n",
+       "4294967296 4294967296\n1\n", "1 3\n- 5 6 7\n", "1 1\n+\t5\n", "1 1\n5 0 x\n"],
 )
 def test_parse_matrix_matches_per_token_parse(text):
     # the int64 fast path gives the same entries, dtype and error text
     assert _parsed(parse_matrix, text) == _parsed(_parse_per_token, text)
+
+
+def test_well_formed_text_is_read_in_one_numeric_pass(monkeypatch):
+    # a 50 x 52 text like certify's inputs never reaches the token path
+    rng = np.random.default_rng(3)
+
+    def token_path(text):
+        raise AssertionError("token path reached")
+
+    monkeypatch.setattr(exact_linalg, "_parse_tokens", token_path)
+    for low, high in ((0, 2), (-(2**40), 2**40)):
+        m = IntMatrix.from_array(rng.integers(low, high, size=(50, 52)))
+        assert parse_matrix(format_matrix(m)) == m
 
 
 def test_parse_matrix_fast_path_cases():

@@ -27,10 +27,13 @@ from latsurj.primes import crt_primes
 
 from oracles import (
     fraction_free,
+    law_numerators,
     odlyzko_violations,
+    odlyzko_violations_by_fractions,
     residue_distributions,
     subspace_mass,
     subspace_mass_support_enumeration,
+    subspace_masses,
 )
 
 
@@ -143,7 +146,7 @@ def test_echelon_matches_independent_oracles(case, as_array):
     # greedy pivots: column j is a pivot iff it raises the rank of its prefix
     prefix_ranks = [0] + [_rank_by_smith([row[: j + 1] for row in rows], p) for j in range(m)]
     assert pivots == [j for j in range(m) if prefix_ranks[j + 1] > prefix_ranks[j]]
-    if n == m:
+    if n == m and p < 2**31:
         assert det_solve([a], [p])[0].tolist() == [fraction_free(rows)[1] % p]
 
     w = left_kernel_vector(a, p)
@@ -201,8 +204,8 @@ def test_int_array_keeps_integers():
 # -- stacked determinants -----------------------------------------------------
 
 CRT = tuple(crt_primes(6))
-# the CRT primes, small primes, the largest int64 prime and the object path
-DET_PRIMES = CRT + (2, 3, 2**31 - 1, 2**61 - 1)
+# the CRT primes, small primes and the largest prime det_solve takes
+DET_PRIMES = CRT + (2, 3, 2**31 - 1)
 EDGES = (0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63))
 # entry laws, drawn from one seeded random.Random per matrix: Hypothesis
 # draws one seed instead of up to 1600 entries
@@ -258,7 +261,7 @@ def test_dets_match_bareiss(slices):
 
 @given(det_slices(), st.integers(0, 3), st.integers(0, 2**64))
 @example([([[CRT[0], 5], [0, 1]], CRT[0]), ([[CRT[0], 5], [0, 1]], CRT[1])], 2, 0)
-@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**61 - 1)], 1, 0)
+@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**31 - 1)], 1, 0)
 @settings(max_examples=60, deadline=None)
 def test_det_solve_matches_adjugate_oracle(slices, s, seed):
     # [A | B] per slice, B with entries up to 2^70; a slice whose det
@@ -282,7 +285,7 @@ def test_det_solve_matches_adjugate_oracle(slices, s, seed):
 
 @given(det_slices(), st.integers(1, 3), st.integers(0, 2**64))
 @example([([[CRT[0], 5], [0, 1]], CRT[0]), ([[CRT[0], 5], [0, 1]], CRT[1])], 2, 0)
-@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**61 - 1)], 1, 0)
+@example([([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]], 2**31 - 1)], 1, 0)
 @example([([[1, 2], [2, 4]], CRT[0]), ([[1, 2], [3, 4]], CRT[0])], 3, 0)
 @settings(max_examples=60, deadline=None)
 def test_det_solve_first_row_matches_full_solve(slices, s, seed):
@@ -421,11 +424,6 @@ def _odd_first_rows(rng):
     return rng.integers(-3, 4, size=(3, 9, 11)), list(CRT[:3])
 
 
-def _big_primes(rng):
-    a = rng.integers(-(2**40), 2**40, size=(3, 8, 10))
-    return a, [2**31 + 11, 2**61 - 1, 2**31 - 1]
-
-
 def _zero_rows(rng):
     # row 0 zero, all zero, and nonsingular beside them
     a = rng.integers(0, 3, size=(3, 6, 8))
@@ -434,19 +432,26 @@ def _zero_rows(rng):
     return a, list(CRT[:3])
 
 
-@pytest.mark.parametrize("build", [_one_slice_singular, _odd_first_rows, _big_primes, _zero_rows])
+@pytest.mark.parametrize("build", [_one_slice_singular, _odd_first_rows, _zero_rows])
 def test_det_solve_block_steps_match_oracle(build):
     stack, primes = build(np.random.default_rng(11))
     minors = [_leading_minor(block) % p for block, p in zip(stack, primes)]
     if build is _one_slice_singular:
         assert minors[0] == minors[2] == 0 and minors[1] and minors[3]
-    if build is _big_primes:
-        assert all(minors)
     for first_row in range(stack.shape[1] + 1):
         d, x = det_solve(stack, primes, first_row)
-        assert x.dtype == (object if build is _big_primes else np.int64)
+        assert x.dtype == np.int64
         assert (d.tolist(), x.tolist()) == _oracle_solve(stack, primes, first_row)
         assert det_solve(stack[:, :, : stack.shape[1]], primes, first_row)[0].tolist() == d.tolist()
+
+
+def test_det_solve_rejects_primes_past_a_word():
+    # its int64 slices take primes below 2^31 only; echelon keeps the object path
+    a = np.random.default_rng(11).integers(-(2**40), 2**40, size=(3, 8, 10))
+    for primes in ([2**31 + 11, 2**61 - 1, 2**31 - 1], [2**31 - 1, CRT[0], 2**31]):
+        with pytest.raises(ValueError, match=f"below 2\\^31, got {max(primes)}"):
+            det_solve(a, primes)
+    assert det_solve(a, [2**31 - 1, CRT[0], CRT[1]])[1].dtype == np.int64
 
 
 def test_dets_shapes():
@@ -687,6 +692,28 @@ def test_odlyzko_bound_small_exhaustive():
     # acceptance covers p in {2,3}, n <= 5; keep the unit test lighter
     assert odlyzko_violations(2, 4, 4) == []
     assert odlyzko_violations(3, 3, 4) == []
+    assert odlyzko_violations_by_fractions(2, 3, 4) == []
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_integer_subspace_masses_match_fractions(p, n):
+    # every (H, law) mass of the integer oracle, against both Fraction routes
+    laws = residue_distributions(p, 4)
+    numerators, den = law_numerators(laws)
+    for basis in iter_subspaces(p, n):
+        for law, mass in zip(laws, subspace_masses(p, basis, n, numerators)):
+            expected = subspace_mass(p, basis, n, law)
+            assert mass == expected * den**n
+            if n <= 2:
+                assert expected == subspace_mass_support_enumeration(p, basis, n, law)
+
+
+@pytest.mark.parametrize("p, n_max, max_den", [(2, 3, 4), (3, 2, 3)])
+def test_planted_odlyzko_violations_agree(p, n_max, max_den):
+    # with the exponent tightened to n - d + 1 the bound fails for some
+    # (H, law), and both oracles must report the same ones in the same order
+    planted = odlyzko_violations(p, n_max, max_den, tighten=1)
+    assert planted and planted == odlyzko_violations_by_fractions(p, n_max, max_den, tighten=1)
 
 
 def test_residue_distribution_family_size():
